@@ -118,7 +118,7 @@ fn spec_bench<T>(
     match mode {
         Mode::Single { vm } => out.push(Row::Single(id, time_us(reps, || f(vm)))),
         Mode::Interleaved => {
-            let (ast, vm) = time_us_pair(reps, |side| f(side));
+            let (ast, vm) = time_us_pair(reps, f);
             out.push(Row::Pair(id, ast, vm));
         }
     }

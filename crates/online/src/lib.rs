@@ -36,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod builder;
 mod config;
 mod error;
 pub mod governor;

@@ -199,6 +199,7 @@ mod tests {
         #[test]
         fn recursive_strategies_terminate(v in arb_nested()) {
             prop_assert!(depth_of(&v) <= 40);
+            prop_assert!(leaves_in_range(&v));
         }
 
         #[test]
@@ -218,6 +219,13 @@ mod tests {
         match n {
             Nested::Leaf(_) => 1,
             Nested::Node(a, b) => 1 + depth_of(a).max(depth_of(b)),
+        }
+    }
+
+    fn leaves_in_range(n: &Nested) -> bool {
+        match n {
+            Nested::Leaf(x) => (-10..10).contains(x),
+            Nested::Node(a, b) => leaves_in_range(a) && leaves_in_range(b),
         }
     }
 

@@ -237,7 +237,7 @@ pub enum Op {
         dst: u16,
     },
     /// Enter a call the compiler spliced into this chunk (cross-chunk
-    /// inlining, see [`crate::compile::CompileOptions`]): the instructions
+    /// inlining, see [`crate::compile()`]): the instructions
     /// up to the balancing [`Op::LeaveInline`] are the callee's body,
     /// compiled against the argument window the caller just filled.
     ///

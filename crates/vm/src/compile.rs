@@ -49,35 +49,16 @@ pub const MAX_COMPILE_DEPTH: u32 = 10_000;
 /// the fold superinstruction only pays for itself from four elements up.
 const MIN_FOLD_CHAIN: usize = 4;
 
-/// Knobs for bytecode lowering; [`compile`] uses [`CompileOptions::default`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CompileOptions {
-    /// Splice statically resolved calls to small, provably non-recursive
-    /// definitions into their caller instead of emitting [`Op::Call`]
-    /// (cross-chunk inlining). Semantics — including fuel and call-depth
-    /// accounting — are preserved exactly by the
-    /// [`Op::EnterInline`]/[`Op::LeaveInline`] markers; see their docs.
-    pub enable_inlining: bool,
-    /// Largest callee body (in AST nodes) eligible for inlining. Plays the
-    /// same role the specializer's `Budget::max_residual_size` plays for
-    /// unfolding: a cap on how much code duplication one decision may
-    /// cost, just applied at lowering time.
-    pub max_inline_size: u64,
-    /// How deep inlined bodies may nest inside one chunk (an inlinable
-    /// callee's own calls may inline again; a chain `f → g → h` stops
-    /// splicing past this many levels and falls back to [`Op::Call`]).
-    pub max_inline_depth: u32,
-}
+/// Largest callee body (in AST nodes) cross-chunk inlining splices into a
+/// caller. Plays the role the specializer's `Budget::max_residual_size`
+/// plays for unfolding: a cap on how much code duplication one decision
+/// may cost, applied at lowering time.
+const MAX_INLINE_SIZE: u64 = 48;
 
-impl Default for CompileOptions {
-    fn default() -> CompileOptions {
-        CompileOptions {
-            enable_inlining: true,
-            max_inline_size: 48,
-            max_inline_depth: 3,
-        }
-    }
-}
+/// How deep inlined bodies may nest inside one chunk: an inlinable
+/// callee's own calls may inline again, and a chain `f → g → h` stops
+/// splicing past this many levels and falls back to [`Op::Call`].
+const MAX_INLINE_DEPTH: u32 = 3;
 
 /// Size of `e` in AST nodes, or `None` when `e` contains a construct the
 /// inliner refuses to splice (`lambda`, first-class application, or a
@@ -112,11 +93,8 @@ fn inline_body_size(e: &Expr) -> Option<u64> {
 /// provably non-recursive (a singleton SCC of the dependency graph with no
 /// self-edge — SCC condensation is what rules out mutual recursion, not
 /// just direct self-calls), and with a small, closure-free body.
-fn inlinable_defs(program: &Program, opts: CompileOptions) -> HashSet<Symbol> {
+fn inlinable_defs(program: &Program) -> HashSet<Symbol> {
     let mut out = HashSet::new();
-    if !opts.enable_inlining {
-        return out;
-    }
     let graph = DepGraph::of_program(program);
     let defs = program.defs();
     let mut seen = HashSet::with_capacity(defs.len());
@@ -134,7 +112,7 @@ fn inlinable_defs(program: &Program, opts: CompileOptions) -> HashSet<Symbol> {
             continue;
         }
         match inline_body_size(&d.body) {
-            Some(size) if size <= opts.max_inline_size => {
+            Some(size) if size <= MAX_INLINE_SIZE => {
                 out.insert(d.name);
             }
             _ => {}
@@ -199,7 +177,6 @@ static INSTANCE: AtomicU64 = AtomicU64::new(1);
 
 struct Builder<'p> {
     program: &'p Program,
-    opts: CompileOptions,
     inlinable: HashSet<Symbol>,
     chunks: Vec<Chunk>,
     consts: Vec<Const>,
@@ -250,6 +227,9 @@ impl<'p> Builder<'p> {
 /// [`CompileErrorKind`]). Semantic errors (unbound variables, unknown
 /// functions, bad arities) do *not* fail compilation — they lower to
 /// [`Op::Fail`] so their runtime classification matches the oracle.
+/// Cross-chunk inlining never introduces failures either: a splice that
+/// would trip a structural limit is rolled back and the call lowers to a
+/// plain [`Op::Call`].
 ///
 /// # Examples
 ///
@@ -261,22 +241,6 @@ impl<'p> Builder<'p> {
 /// assert_eq!(cp.chunks.len(), 1);
 /// ```
 pub fn compile(program: &Program) -> Result<CompiledProgram, CompileError> {
-    compile_with(program, CompileOptions::default())
-}
-
-/// [`compile`] with explicit [`CompileOptions`] (benchmarks and the
-/// differential tests use this to compare inlined and uninlined
-/// lowerings of the same program).
-///
-/// # Errors
-///
-/// As for [`compile`]. Inlining never introduces failures: a splice that
-/// would trip a structural limit is rolled back and the call lowers to a
-/// plain [`Op::Call`].
-pub fn compile_with(
-    program: &Program,
-    opts: CompileOptions,
-) -> Result<CompiledProgram, CompileError> {
     let defs = program.defs();
     let mut by_name = HashMap::with_capacity(defs.len());
     for (i, d) in defs.iter().enumerate() {
@@ -287,8 +251,7 @@ pub fn compile_with(
     }
     let mut b = Builder {
         program,
-        opts,
-        inlinable: inlinable_defs(program, opts),
+        inlinable: inlinable_defs(program),
         chunks: vec![placeholder_chunk(); defs.len()],
         consts: Vec::new(),
         const_ids: HashMap::new(),
@@ -403,7 +366,7 @@ struct FnCompiler<'a, 'p> {
     max_reg: u16,
     depth: u32,
     /// How many inlined bodies enclose the expression being compiled
-    /// (bounded by [`CompileOptions::max_inline_depth`]).
+    /// (bounded by [`MAX_INLINE_DEPTH`]).
     inline_depth: u32,
     /// Instructions at indices below this may not participate in peephole
     /// fusion: a jump target lands at (or below) this position, so the
@@ -520,14 +483,12 @@ impl<'p> FnCompiler<'_, 'p> {
     /// bracket the body so the VM charges fuel and checks depth as the
     /// replaced call would have. A structural limit tripped mid-splice
     /// (nesting, registers) unwinds the emitted code and reports the site
-    /// as not inlined — options can therefore never make a program
-    /// uncompilable that compiles without them.
+    /// as not inlined — inlining can therefore never make a program
+    /// uncompilable that compiles without it.
     fn try_inline(&mut self, func: u32, base: u16, dst: u16) -> Result<bool, CompileError> {
         let program: &'p Program = self.b.program;
         let def: &'p FunDef = &program.defs()[func as usize];
-        if self.inline_depth >= self.b.opts.max_inline_depth
-            || !self.b.inlinable.contains(&def.name)
-        {
+        if self.inline_depth >= MAX_INLINE_DEPTH || !self.b.inlinable.contains(&def.name) {
             return Ok(false);
         }
         let code_mark = self.code.len();

@@ -45,7 +45,7 @@ mod vm;
 
 pub use cache::{compile_cached, vm_stats, VmStats};
 pub use chunk::{Chunk, CompiledProgram, LambdaSite, Op};
-pub use compile::{compile, compile_with, CompileError, CompileErrorKind, CompileOptions};
+pub use compile::{compile, CompileError, CompileErrorKind};
 pub use spec_eval::VmStaticEval;
 pub use vm::{execute_main, ExecReport, Vm, VmOptions};
 

@@ -7,9 +7,9 @@
 //! one-definition chunk and replays it on concrete values thereafter.
 //! Chunks live in the process-wide chunk cache under the subtree's
 //! hash-consed [`ppe_lang::term::Term`] fingerprint, fronted by a
-//! thread-local map so the steady-state hit (the same interpreter-loop
-//! subterm re-walked once per unfolding) costs one `HashMap` probe and no
-//! lock.
+//! thread-local `(chunk, args) → outcome` memo so the steady-state hit
+//! (the same interpreter-loop subterm re-walked on the same static values
+//! once per unfolding) costs one `HashMap` probe and no lock.
 //!
 //! Failure of any kind — lowering trouble, a runtime error such as
 //! division by zero or an out-of-range index, a budget trip inside the
@@ -23,22 +23,14 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use ppe_lang::{Expr, Symbol, Value};
-use ppe_online::spec_eval::SpecEvalBackend;
+use ppe_online::spec_eval::{AddrHasher, BuildAddrHasher, SpecEvalBackend};
 
 use crate::cache;
-use crate::chunk::CompiledProgram;
 use crate::vm::{Vm, VmOptions};
-
-/// Thread-local chunk-handle cap; on overflow the map is cleared
-/// wholesale. Keys are content-addressed fingerprints, so a cleared entry
-/// is re-fetched from the shared cache (or recompiled) without any
-/// staleness hazard.
-const LOCAL_CAP: usize = 512;
 
 /// Thread-local `(chunk, args) → outcome` memo cap; cleared wholesale on
 /// overflow. Entries are pure-function results of content-addressed
@@ -47,35 +39,6 @@ const LOCAL_CAP: usize = 512;
 /// [`REPLAY_OPTS`], so a `(chunk, args)` pair that errored once errors
 /// always, and the memo spares the walk a doomed replay per revisit.
 const RESULT_CAP: usize = 8192;
-
-/// Hasher for keys that are already fingerprints (or cheap mixes of
-/// them): one multiply-xor round instead of SipHash. These maps sit on
-/// the per-primitive hot path of the specializer walk, where the default
-/// hasher's setup cost is comparable to the whole lookup.
-#[derive(Default)]
-struct FpHasher(u64);
-
-impl Hasher for FpHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let x = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        // Fold the high bits down: the table indexes with low bits, and
-        // a bare multiply leaves low-entropy inputs (aligned addresses,
-        // small ints) clustered there.
-        self.0 = x ^ (x >> 32);
-    }
-}
-
-type BuildFp = BuildHasherDefault<FpHasher>;
 
 /// Mixes concrete arguments into a cache key, or `None` when an argument
 /// kind has no cheap identity (closures and function values — which the
@@ -87,7 +50,7 @@ type BuildFp = BuildHasherDefault<FpHasher>;
 /// live vector while the entry exists ([`args_match`] re-checks with
 /// `Rc::ptr_eq`). Distinct-but-equal vectors simply miss and recompute.
 fn args_key(args: &[Value]) -> Option<u64> {
-    let mut h = FpHasher(0x9e37_79b9);
+    let mut h = AddrHasher::default();
     for a in args {
         match a {
             Value::Int(x) => h.write_u64(1 ^ (*x as u64)),
@@ -124,22 +87,20 @@ const REPLAY_OPTS: VmOptions = VmOptions {
     deadline: None,
 };
 
-/// Per-thread replay state, bundled so one eval touches thread-local
-/// storage once.
 /// One `(chunk fingerprint, args fingerprint)` memo entry: the stored
 /// arguments (exact-match check, and the vector-liveness guarantee) plus
 /// the replay outcome, `None` for a deterministic failure.
 type ResultEntry = (Box<[Value]>, Option<Value>);
 
+/// Per-thread replay state, bundled so one eval touches thread-local
+/// storage once.
 struct ThreadState {
-    chunks: HashMap<u64, Arc<CompiledProgram>, BuildFp>,
-    results: HashMap<(u64, u64), ResultEntry, BuildFp>,
+    results: HashMap<(u64, u64), ResultEntry, BuildAddrHasher>,
     vm: Vm,
 }
 
 thread_local! {
     static STATE: RefCell<ThreadState> = RefCell::new(ThreadState {
-        chunks: HashMap::default(),
         results: HashMap::default(),
         vm: Vm::with_options(REPLAY_OPTS),
     });
@@ -148,9 +109,9 @@ thread_local! {
 /// The production [`SpecEvalBackend`]: compile-once, replay-many static
 /// evaluation on the bytecode VM.
 ///
-/// Stateless and [`Send`]`+`[`Sync`]; all caching is process-global or
-/// thread-local, so one instance can be shared by every request. Install
-/// it via [`ppe_online::PeConfig::spec_eval`]:
+/// Stateless and [`Send`]`+`[`Sync`]; chunks are cached process-wide and
+/// replay results per thread, so one instance can be shared by every
+/// request. Install it via [`ppe_online::PeConfig::spec_eval`]:
 ///
 /// ```
 /// use std::sync::Arc;
@@ -187,20 +148,7 @@ impl SpecEvalBackend for VmStaticEval {
                     }
                 }
             }
-            let cp = match st.chunks.get(&key) {
-                Some(found) => {
-                    cache::note_spec_chunk_hit();
-                    Arc::clone(found)
-                }
-                None => {
-                    let cp = cache::spec_chunk(key, body, params)?;
-                    if st.chunks.len() >= LOCAL_CAP {
-                        st.chunks.clear();
-                    }
-                    st.chunks.insert(key, Arc::clone(&cp));
-                    cp
-                }
-            };
+            let cp = cache::spec_chunk(key, body, params)?;
             let out = st.vm.run_main(&cp, args).ok();
             if let Some(ak) = akey {
                 if st.results.len() >= RESULT_CAP {
@@ -222,7 +170,7 @@ mod tests {
         let p = ppe_lang::parse_program(src).unwrap();
         let body = p.main().body.clone();
         let info = ppe_online::spec_eval::analyze(&body).expect("eligible subtree");
-        (info.key, body, info.params.clone())
+        (info.key(&body), body, info.params.clone())
     }
 
     #[test]

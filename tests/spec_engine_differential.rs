@@ -11,16 +11,20 @@
 //!    interpreter) produce `pretty_program`-identical residuals and equal
 //!    [`PeStats`] under both engines, across all three specializers.
 //! 2. **Random programs** — a property test drives randomly generated
-//!    bodies through a static-count loop long enough to clear the warmup
-//!    gate, so the shortcut genuinely fires on arbitrary shapes.
+//!    bodies through a static-count loop, so the shortcut fires on
+//!    arbitrary shapes and re-visits each memoized subterm per unfolding.
 //! 3. **Budget parity** — fuel and deadline exhaustion *inside* a run
 //!    whose static evaluation went through the VM classifies identically
 //!    to the tree walk, in both strict and degrade modes.
+//! 4. **Micro-runs** — the shortcut fires from a run's first tick, so runs
+//!    too short to amortize anything (E1's inner product at `n = 4`
+//!    spends 84 ticks) must be byte-identical too.
 //!
 //! [`PeStats`]: ppe::online::PeStats
 
 mod common;
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -31,6 +35,7 @@ use ppe::lang::{parse_program, pretty_program, Const, Expr, FunDef, Prim, Progra
 use ppe::offline::{analyze, AbstractInput, OfflinePe};
 use ppe::online::{
     Budget, ExhaustionPolicy, OnlinePe, PeConfig, PeError, PeInput, SimpleInput, SimplePe,
+    SpecEvalBackend,
 };
 use ppe::vm::VmStaticEval;
 use proptest::prelude::*;
@@ -65,8 +70,8 @@ fn tail_statics(arity: usize) -> Vec<bool> {
 
 #[test]
 fn corpus_residuals_identical_across_engines() {
-    // A known count high enough that unfolding outruns the warmup gate,
-    // so the shortcut actually fires on the recursive corpus programs.
+    // A known count large enough that unfolding re-walks the recursive
+    // corpus programs' static subterms many times.
     let known = Value::Int(40);
     for (name, src, arity) in CORPUS {
         if *name == "iprod" {
@@ -208,9 +213,9 @@ fn bench_workloads_identical_across_engines() {
 /// (define (f x y) <body>)
 /// ```
 ///
-/// Specializing `g` with `n = 24` unfolds the body two dozen times, which
-/// clears the warmup gate and re-walks the same subterms per unfolding —
-/// exactly the access pattern the shortcut memoizes.
+/// Specializing `g` with `n = 24` unfolds the body two dozen times,
+/// re-walking the same subterms once per unfolding — exactly the access
+/// pattern the shortcut memoizes.
 fn looped_program(body: &Expr) -> Program {
     let f = program_of(body).main().clone();
     let x = || Expr::var("x");
@@ -245,7 +250,7 @@ fn looped_program(body: &Expr) -> Program {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Random bodies, unfolded past the warmup gate: both engines emit
+    /// Random bodies, unfolded two dozen times: both engines emit
     /// byte-identical residuals with identical statistics, online and
     /// simple. Exhaustion (fuel/residual caps on a pathological draw) must
     /// classify identically too, so errors are compared rather than
@@ -294,8 +299,8 @@ proptest! {
     }
 }
 
-/// A workload that clears the warmup gate and then keeps going: `gauss`
-/// on a large static count, whose every subterm is static.
+/// A long workload whose every subterm is static: `gauss` on a large
+/// static count.
 fn gauss_workload() -> (Program, Vec<PeInput>) {
     let p =
         parse_program("(define (gauss n acc) (if (= n 0) acc (gauss (- n 1) (+ acc n))))").unwrap();
@@ -310,9 +315,9 @@ fn gauss_workload() -> (Program, Vec<PeInput>) {
 fn fuel_exhaustion_classifies_identically_under_vm_engine() {
     let (p, inputs) = gauss_workload();
     let facets = FacetSet::new();
-    // Enough fuel to clear the warmup gate (96 ticks) and let the VM path
-    // fire, nowhere near enough to finish 100k iterations — and an unfold
-    // horizon past the fuel budget, so fuel is the budget that trips.
+    // Enough fuel for the VM path to fire many times, nowhere near enough
+    // to finish 100k iterations — and an unfold horizon past the fuel
+    // budget, so fuel is the budget that trips.
     let strict = PeConfig {
         fuel: 2_000,
         max_unfold_depth: 1_000_000,
@@ -353,10 +358,10 @@ fn fuel_exhaustion_classifies_identically_under_vm_engine() {
 fn deadline_exhaustion_classifies_identically_under_vm_engine() {
     let (p, inputs) = gauss_workload();
     let facets = FacetSet::new();
-    // An already-expired deadline trips at the first probe (tick 256) —
-    // after the warmup gate, so the VM path fires in between. The trip
-    // tick is identical on both engines because the VM path charges its
-    // ticks through the same governor, preserving probe boundaries.
+    // An already-expired deadline trips at the first probe (tick 256), and
+    // the VM path fires many times before it. The trip tick is identical
+    // on both engines because the VM path charges its ticks through the
+    // same governor, preserving probe boundaries.
     let strict = PeConfig {
         deadline: Some(Duration::ZERO),
         ..PeConfig::default()
@@ -381,4 +386,80 @@ fn deadline_exhaustion_classifies_identically_under_vm_engine() {
         "degraded residuals drifted between engines"
     );
     assert_eq!(ast.stats, vm.stats);
+}
+
+/// [`VmStaticEval`] behind a per-run call counter, so a test can tell that
+/// its own run reached the backend (the process-wide `vm_stats` counters
+/// also move with every other test in this binary).
+#[derive(Debug, Default)]
+struct Counting(AtomicU64);
+
+impl SpecEvalBackend for Counting {
+    fn eval(&self, key: u64, body: &Expr, params: &[Symbol], args: &[Value]) -> Option<Value> {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        VmStaticEval.eval(key, body, params, args)
+    }
+}
+
+/// Runs `run` once on the tree walk and once on a fresh counting VM
+/// backend, asserts byte-identical residuals and equal stats, and checks
+/// that the VM run was a micro-run that reached the backend.
+fn assert_micro_run(what: &str, mut run: impl FnMut(&PeConfig) -> ppe::online::Residual) {
+    let ast = run(&PeConfig::default());
+    let counting = Arc::new(Counting::default());
+    let config = PeConfig {
+        spec_eval: Some(counting.clone()),
+        ..PeConfig::default()
+    };
+    let before = ppe::vm::vm_stats();
+    let vm = run(&config);
+    let after = ppe::vm::vm_stats();
+    assert_eq!(
+        pretty_program(&ast.program),
+        pretty_program(&vm.program),
+        "{what}: residual drift between engines"
+    );
+    assert_eq!(ast.stats, vm.stats, "{what}: stats drift between engines");
+    assert!(
+        vm.stats.steps < 96,
+        "{what} is not a micro-run: {:?}",
+        vm.stats
+    );
+    assert!(
+        counting.0.load(Ordering::Relaxed) > 0,
+        "{what}: the shortcut never reached the backend"
+    );
+    assert!(
+        after.spec_vm_evals > before.spec_vm_evals,
+        "{what}: spec_vm_evals did not advance"
+    );
+}
+
+#[test]
+fn micro_runs_identical_across_engines() {
+    // E1's inner product at n = 4 (84 ticks), online and offline: the
+    // loop tests `(= n 0)` and steps `(- n 1)` fire on the static size.
+    let iprod = ppe_bench::program(ppe_bench::INNER_PRODUCT);
+    let sfacets = ppe_bench::size_facets();
+    let analysis = ppe_bench::iprod_analysis(&iprod, &sfacets);
+    let inputs = ppe_bench::sized_inputs(4);
+    assert_micro_run("online/iprod_n4", |config| {
+        OnlinePe::with_config(&iprod, &sfacets, config.clone())
+            .specialize_main(&inputs)
+            .unwrap()
+    });
+    assert_micro_run("offline/iprod_n4", |config| {
+        OfflinePe::with_config(&iprod, &sfacets, &analysis, config.clone())
+            .specialize(&inputs)
+            .unwrap()
+    });
+
+    // The Figure 2 specializer on power at n = 4.
+    let power = ppe_bench::program(ppe_bench::POWER);
+    let simple_inputs = [SimpleInput::Dynamic, SimpleInput::Known(Const::Int(4))];
+    assert_micro_run("simple/power_n4", |config| {
+        SimplePe::with_config(&power, config.clone())
+            .specialize_main(&simple_inputs)
+            .unwrap()
+    });
 }
