@@ -172,3 +172,42 @@ fn serve_survives_malformed_input() {
         assert_eq!(v.get("ok"), Some(&Json::Bool(false)), "{line}");
     }
 }
+
+/// Theorem 1 at the service boundary for the two binder-capture programs
+/// (`tests/residual_correctness.rs` has them at the library level): on
+/// every engine, `"execute"` on the residual returns the source's value.
+#[test]
+fn serve_execute_agrees_with_the_source_when_unfolding_rebinds_names() {
+    let programs = [
+        "(define (f x) (let ((y (+ x 1))) (g y 5))) (define (g a n) (let ((y (* a n))) (+ y a)))",
+        "(define (f x) (g (+ x 1) 5)) (define (g a n) (let ((tmp_1 (* a n))) (+ tmp_1 a)))",
+    ];
+    let engines = ["online", "simple", "offline"];
+    let mut input = String::new();
+    for src in programs {
+        for engine in engines {
+            let execute = Json::Arr(vec![Json::str("2")]);
+            input += &request_line(
+                src,
+                "_",
+                &[("engine", Json::str(engine)), ("execute", execute)],
+            );
+            input.push('\n');
+        }
+    }
+    input += "{\"cmd\": \"shutdown\"}\n";
+    let (ok, stdout, stderr) = ppe_with_stdin(&["serve", "--jobs", "1"], &input);
+    assert!(ok, "{stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), programs.len() * engines.len() + 1, "{stdout}");
+    for line in &lines[..programs.len() * engines.len()] {
+        let v = Json::parse(line).expect("response is JSON");
+        assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "{line}");
+        let exec = v.get("exec").expect("execute outcome");
+        assert_eq!(
+            exec.get("value").and_then(Json::as_str),
+            Some("18"),
+            "{line}"
+        );
+    }
+}
