@@ -181,9 +181,10 @@ impl Metrics {
     ///
     /// The `spec_vm_*` and `vm_inlined_calls` fields are read from the
     /// VM's process-wide counters ([`ppe_vm::vm_stats`]) rather than this
-    /// instance: the chunk caches they describe are process-global, so a
-    /// per-service split would misattribute hits that one service earned
-    /// from another's compilations.
+    /// instance. The caches they describe — the shared chunk cache and
+    /// the per-thread `(chunk, args)` result memo of the worker threads —
+    /// are not owned by one service, so a per-service split would
+    /// misattribute hits that one service earned from another's work.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let r = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let vm = ppe_vm::vm_stats();

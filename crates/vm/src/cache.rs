@@ -54,9 +54,8 @@ pub struct VmStats {
     /// Static-subtree evaluations requested by the specializer engines
     /// (see [`crate::VmStaticEval`]).
     pub spec_vm_evals: u64,
-    /// Specializer static evals answered from a cache: the thread-local
-    /// `(chunk, args) → value` result memo, the thread-local chunk map,
-    /// or the shared chunk cache.
+    /// Specializer static evals answered from a cache: the per-thread
+    /// `(chunk, args) → outcome` result memo or the shared chunk cache.
     pub spec_vm_chunk_hits: u64,
     /// Specializer static-eval chunks compiled fresh.
     pub spec_vm_chunk_misses: u64,
