@@ -7,7 +7,7 @@
 use ppe::core::facets::{SignFacet, SignVal};
 use ppe::core::{AbsVal, FacetSet};
 use ppe::lang::{parse_program, pretty_program, Evaluator, Expr, Value};
-use ppe::online::{OnlinePe, PeInput};
+use ppe::online::{OnlinePe, PeInput, SimpleInput, SimplePe};
 
 fn specialize(src: &str, inputs: &[PeInput]) -> (ppe::lang::Program, ppe::online::Residual) {
     let program = parse_program(src).unwrap();
@@ -130,4 +130,36 @@ fn church_style_iteration_specializes_to_straight_line() {
         printed.contains("(inc_1 (inc_1 (inc_1 (inc_1 x))))"),
         "{printed}"
     );
+}
+
+/// A manifest λ whose body mentions a dynamic variable of the enclosing
+/// scope β-reduces with that variable standing for itself, and a λ binder
+/// reusing the name of the caller variable an unfolded argument stands for
+/// is renamed rather than capturing it — on the online and simple engines
+/// (the offline analysis has no λs).
+#[test]
+fn beta_reduced_lambdas_keep_their_free_variables() {
+    for src in [
+        "(define (f x) ((lambda (v) (+ v x)) 3))",
+        "(define (f x) (let ((y (+ x 1))) (g y 5)))
+         (define (g a n) ((lambda (y) (+ y a)) (* a n)))",
+    ] {
+        let program = parse_program(src).unwrap();
+        let facets = FacetSet::new();
+        let online = OnlinePe::new(&program, &facets)
+            .specialize_main(&[PeInput::dynamic()])
+            .unwrap()
+            .program;
+        let simple = SimplePe::new(&program)
+            .specialize_main(&[SimpleInput::Dynamic])
+            .unwrap()
+            .program;
+        for residual in [online, simple] {
+            for x in [-3i64, 0, 2, 7] {
+                let expected = Evaluator::new(&program).run_main(&[Value::Int(x)]);
+                let got = Evaluator::new(&residual).run_main(&[Value::Int(x)]);
+                assert_eq!(expected, got, "x = {x}: {}", pretty_program(&residual));
+            }
+        }
+    }
 }
