@@ -66,12 +66,20 @@ impl Ord for F64 {
     }
 }
 
+/// Prints a literal the lexer reads back as the same float: always with a
+/// decimal point or an exponent, so it never reads back as an integer, and
+/// ±∞ as `1e999`/`-1e999`, which overflow back to ±∞.
 impl fmt::Display for F64 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.fract() == 0.0 && self.0.abs() < 1e15 {
-            write!(f, "{:.1}", self.0)
+        let x = self.0;
+        if x.is_infinite() {
+            f.write_str(if x > 0.0 { "1e999" } else { "-1e999" })
+        } else if x.fract() != 0.0 {
+            write!(f, "{x}")
+        } else if x.abs() < 1e15 {
+            write!(f, "{x:.1}")
         } else {
-            write!(f, "{}", self.0)
+            write!(f, "{x:e}")
         }
     }
 }
@@ -312,6 +320,15 @@ mod tests {
         assert_eq!(Const::Int(-3).to_string(), "-3");
         assert_eq!(Const::Bool(true).to_string(), "#t");
         assert_eq!(Const::Float(F64::new(2.0).unwrap()).to_string(), "2.0");
+        // Integral floats from 1e15 up, and ±∞, still spell floats.
+        for (x, text) in [
+            (1e15, "1e15"),
+            (-1.5e16, "-1.5e16"),
+            (f64::INFINITY, "1e999"),
+            (f64::NEG_INFINITY, "-1e999"),
+        ] {
+            assert_eq!(Const::Float(F64::new(x).unwrap()).to_string(), text);
+        }
     }
 
     #[test]

@@ -268,9 +268,6 @@ impl SpecializeService {
             }
             Ok(_) => {}
         }
-        if response.disposition == CacheDisposition::Unreached {
-            self.metrics.errors.load(Relaxed); // already counted above
-        }
         self.metrics.observe_wall(response.wall_micros);
         response
     }

@@ -1,8 +1,16 @@
 //! Parser and printer robustness: no panics on arbitrary input, and
 //! round-trips for generated expressions including the higher-order forms.
 
-use ppe::lang::{parse_expr, parse_program, pretty_expr, Expr, Prim, Symbol};
+use ppe::lang::{parse_expr, parse_program, pretty_expr, Const, Expr, Prim, Symbol, F64};
 use proptest::prelude::*;
+
+/// Floats of every magnitude, from subnormals past 1e15 to ±∞. NaN bit
+/// patterns, which no literal spells, become ∞.
+fn arb_float() -> impl Strategy<Value = F64> {
+    let bits = any::<i64>().prop_map(|b| f64::from_bits(b as u64));
+    prop_oneof![bits, Just(f64::INFINITY), Just(f64::NEG_INFINITY)]
+        .prop_map(|x| F64::new(if x.is_nan() { f64::INFINITY } else { x }).expect("not NaN"))
+}
 
 /// Generator of well-formed expressions over `x`, `y`, including `let`,
 /// `lambda` and general application.
@@ -10,6 +18,7 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         (-100i64..=100).prop_map(Expr::int),
         any::<bool>().prop_map(Expr::bool),
+        arb_float().prop_map(|x| Expr::Const(Const::Float(x))),
         Just(Expr::var("x")),
         Just(Expr::var("y")),
     ];

@@ -211,3 +211,54 @@ fn serve_execute_agrees_with_the_source_when_unfolding_rebinds_names() {
         );
     }
 }
+
+/// Theorem 1 at the service boundary for float constants whose residual
+/// text used to read back wrong: integral floats from 1e15 up printed as
+/// integers, and a folded ∞ printed as the identifier `inf`. `"execute"` on
+/// the residual must print what `ppe run` prints for the source.
+#[test]
+fn serve_execute_agrees_with_run_on_large_and_infinite_floats() {
+    let cases = [
+        ("(define (f x) (+ x 1e15))", "1.000000000000002e15"),
+        ("(define (f x) (+ x 1e20))", "1e20"),
+        ("(define (f x) (+ x (* 1e308 10.0)))", "1e999"),
+    ];
+    let mut input = String::new();
+    for (src, _) in cases {
+        let execute = Json::Arr(vec![Json::str("2.0")]);
+        input += &request_line(src, "_", &[("execute", execute)]);
+        input.push('\n');
+    }
+    input += "{\"cmd\": \"shutdown\"}\n";
+    let (ok, stdout, stderr) = ppe_with_stdin(&["serve", "--jobs", "1"], &input);
+    assert!(ok, "{stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), cases.len() + 1, "{stdout}");
+    let dir = std::env::temp_dir().join(format!("ppe-server-batch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (i, ((src, expected), line)) in cases.iter().zip(&lines).enumerate() {
+        let path = dir.join(format!("float-{i}.sexp"));
+        std::fs::write(&path, src).expect("write program");
+        let run = Command::new(env!("CARGO_BIN_EXE_ppe"))
+            .arg("run")
+            .arg(&path)
+            .arg("2.0")
+            .output()
+            .expect("ppe binary runs");
+        assert!(
+            run.status.success(),
+            "{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        let source_value = String::from_utf8_lossy(&run.stdout).trim().to_owned();
+        assert_eq!(source_value, *expected, "ppe run on {src}");
+        let v = Json::parse(line).expect("response is JSON");
+        let exec = v.get("exec").expect("execute outcome");
+        assert_eq!(
+            exec.get("value").and_then(Json::as_str),
+            Some(source_value.as_str()),
+            "{line}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
