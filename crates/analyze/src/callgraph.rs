@@ -23,6 +23,7 @@ use ppe_lang::{FunDef, Symbol};
 use ppe_offline::{Analysis, AnnExpr, AnnKind, CallAction};
 
 use crate::depgraph::collect_calls;
+use crate::descend;
 
 /// Structural unfold-safety over raw definitions: wraps the engine-shared
 /// unguarded-recursion detection in `W0002` diagnostics. Works on the
@@ -63,7 +64,7 @@ pub fn check_unfolding(
     names.sort_by_key(|s| s.to_string());
     for name in names {
         let def = &analysis.annotated[&name];
-        walk(&def.body, name, false, &edges, "body", out);
+        walk(&def.body, name, false, &edges, &mut "body".to_owned(), out);
     }
 }
 
@@ -72,21 +73,16 @@ fn walk(
     function: Symbol,
     under_dynamic: bool,
     edges: &HashMap<Symbol, HashSet<Symbol>>,
-    path: &str,
+    path: &mut String,
     out: &mut Vec<Diagnostic>,
 ) {
     match &e.kind {
         AnnKind::Const(_) | AnnKind::Var(_) => {}
         AnnKind::Prim { args, .. } => {
             for (i, a) in args.iter().enumerate() {
-                walk(
-                    a,
-                    function,
-                    under_dynamic,
-                    edges,
-                    &format!("{path}.arg{i}"),
-                    out,
-                );
+                descend(path, format_args!("arg{i}"), |p| {
+                    walk(a, function, under_dynamic, edges, p, out)
+                });
             }
         }
         AnnKind::If {
@@ -95,42 +91,22 @@ fn walk(
             else_branch,
             static_cond,
         } => {
-            walk(
-                cond,
-                function,
-                under_dynamic,
-                edges,
-                &format!("{path}.cond"),
-                out,
-            );
+            descend(path, "cond", |p| {
+                walk(cond, function, under_dynamic, edges, p, out)
+            });
             let branches_dynamic = under_dynamic || !static_cond;
-            walk(
-                then_branch,
-                function,
-                branches_dynamic,
-                edges,
-                &format!("{path}.then"),
-                out,
-            );
-            walk(
-                else_branch,
-                function,
-                branches_dynamic,
-                edges,
-                &format!("{path}.else"),
-                out,
-            );
+            descend(path, "then", |p| {
+                walk(then_branch, function, branches_dynamic, edges, p, out)
+            });
+            descend(path, "else", |p| {
+                walk(else_branch, function, branches_dynamic, edges, p, out)
+            });
         }
         AnnKind::Call { f, args, action } => {
             for (i, a) in args.iter().enumerate() {
-                walk(
-                    a,
-                    function,
-                    under_dynamic,
-                    edges,
-                    &format!("{path}.arg{i}"),
-                    out,
-                );
+                descend(path, format_args!("arg{i}"), |p| {
+                    walk(a, function, under_dynamic, edges, p, out)
+                });
             }
             let recursive = *f == function || reaches(*f, function, edges);
             if *action == CallAction::Unfold && recursive && !under_dynamic {
@@ -144,27 +120,17 @@ fn walk(
                         ),
                     )
                     .in_function(function)
-                    .at_path(path),
+                    .at_path(path.as_str()),
                 );
             }
         }
         AnnKind::Let { bound, body, .. } => {
-            walk(
-                bound,
-                function,
-                under_dynamic,
-                edges,
-                &format!("{path}.bound"),
-                out,
-            );
-            walk(
-                body,
-                function,
-                under_dynamic,
-                edges,
-                &format!("{path}.body"),
-                out,
-            );
+            descend(path, "bound", |p| {
+                walk(bound, function, under_dynamic, edges, p, out)
+            });
+            descend(path, "body", |p| {
+                walk(body, function, under_dynamic, edges, p, out)
+            });
         }
     }
 }

@@ -24,8 +24,7 @@
 //! Local fingerprints deliberately use [`FunDef::fingerprint`] rather
 //! than the hash-consed [`ppe_lang::term::Term`] fingerprint: the Term
 //! interner mixes process-local symbol ids, which is fine for the VM's
-//! in-process chunk cache (which keys its reachable-body component on
-//! Term fingerprints) but would silently miss across restarts if
+//! in-process chunk cache but would silently miss across restarts if
 //! embedded in persistent keys.
 //!
 //! On top of the graph this module derives two diagnostics/reports:

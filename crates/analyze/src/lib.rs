@@ -54,6 +54,18 @@ use ppe_lang::{parse_defs, FunDef, Program};
 pub use ppe_lang::{Diagnostic, Severity};
 pub use ppe_offline::certify::check_certificate;
 
+/// Runs `walk` on `path` extended by `.{segment}`, then restores `path`.
+/// The passes thread one buffer through a whole body this way, so memory
+/// stays linear in nesting depth and a path is copied out only when a
+/// diagnostic is emitted.
+fn descend(path: &mut String, segment: impl std::fmt::Display, walk: impl FnOnce(&mut String)) {
+    use std::fmt::Write as _;
+    let len = path.len();
+    write!(path, ".{segment}").expect("writing to a String cannot fail");
+    walk(path);
+    path.truncate(len);
+}
+
 /// The result of checking one program source: all diagnostics, in
 /// deterministic order (pass order, then definition order, then
 /// evaluation order within a body).

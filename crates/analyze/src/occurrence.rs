@@ -12,6 +12,8 @@ use ppe_lang::diag::Diagnostic;
 use ppe_lang::Symbol;
 use ppe_lang::{count_uses, is_droppable, Expr, FunDef, OptLevel};
 
+use crate::descend;
+
 /// Flags unused parameters (`W0003`) and dead `let` bindings (`W0004`).
 pub fn check(defs: &[FunDef], out: &mut Vec<Diagnostic>) {
     for def in defs {
@@ -26,22 +28,24 @@ pub fn check(defs: &[FunDef], out: &mut Vec<Diagnostic>) {
                 );
             }
         }
-        check_expr(&def.body, def.name, "body", out);
+        check_expr(&def.body, def.name, &mut "body".to_owned(), out);
     }
 }
 
-fn check_expr(e: &Expr, function: Symbol, path: &str, out: &mut Vec<Diagnostic>) {
+fn check_expr(e: &Expr, function: Symbol, path: &mut String, out: &mut Vec<Diagnostic>) {
     match e {
         Expr::Const(_) | Expr::Var(_) | Expr::FnRef(_) => {}
         Expr::Prim(_, args) | Expr::Call(_, args) => {
             for (i, a) in args.iter().enumerate() {
-                check_expr(a, function, &format!("{path}.arg{i}"), out);
+                descend(path, format_args!("arg{i}"), |p| {
+                    check_expr(a, function, p, out)
+                });
             }
         }
         Expr::If(c, t, f) => {
-            check_expr(c, function, &format!("{path}.cond"), out);
-            check_expr(t, function, &format!("{path}.then"), out);
-            check_expr(f, function, &format!("{path}.else"), out);
+            descend(path, "cond", |p| check_expr(c, function, p, out));
+            descend(path, "then", |p| check_expr(t, function, p, out));
+            descend(path, "else", |p| check_expr(f, function, p, out));
         }
         Expr::Let(x, b, body) => {
             if count_uses(body, *x) == 0 && is_droppable(b, OptLevel::Safe) {
@@ -51,17 +55,19 @@ fn check_expr(e: &Expr, function: Symbol, path: &str, out: &mut Vec<Diagnostic>)
                         format!("`let {x}` binds a value that is never used (the optimizer would drop it)"),
                     )
                     .in_function(function)
-                    .at_path(path),
+                    .at_path(path.as_str()),
                 );
             }
-            check_expr(b, function, &format!("{path}.bound"), out);
-            check_expr(body, function, &format!("{path}.body"), out);
+            descend(path, "bound", |p| check_expr(b, function, p, out));
+            descend(path, "body", |p| check_expr(body, function, p, out));
         }
-        Expr::Lambda(_, body) => check_expr(body, function, &format!("{path}.lambda"), out),
+        Expr::Lambda(_, body) => descend(path, "lambda", |p| check_expr(body, function, p, out)),
         Expr::App(f, args) => {
-            check_expr(f, function, &format!("{path}.callee"), out);
+            descend(path, "callee", |p| check_expr(f, function, p, out));
             for (i, a) in args.iter().enumerate() {
-                check_expr(a, function, &format!("{path}.arg{i}"), out);
+                descend(path, format_args!("arg{i}"), |p| {
+                    check_expr(a, function, p, out)
+                });
             }
         }
     }

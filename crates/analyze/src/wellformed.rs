@@ -12,6 +12,8 @@ use std::collections::{HashMap, HashSet};
 use ppe_lang::diag::Diagnostic;
 use ppe_lang::{Expr, FunDef, Symbol};
 
+use crate::descend;
+
 /// Checks duplicate definitions, duplicate parameters, unbound variables,
 /// unknown functions, call-site arity, and shadowing over raw defs.
 pub fn check(defs: &[FunDef], out: &mut Vec<Diagnostic>) {
@@ -46,7 +48,8 @@ pub fn check(defs: &[FunDef], out: &mut Vec<Diagnostic>) {
             }
         }
         let mut scope: Vec<Symbol> = def.params.clone();
-        check_expr(&def.body, &mut scope, &arity, def.name, "body", out);
+        let mut path = "body".to_owned();
+        check_expr(&def.body, &mut scope, &arity, def.name, &mut path, out);
     }
 }
 
@@ -55,7 +58,7 @@ fn check_expr(
     scope: &mut Vec<Symbol>,
     arity: &HashMap<Symbol, usize>,
     function: Symbol,
-    path: &str,
+    path: &mut String,
     out: &mut Vec<Diagnostic>,
 ) {
     match e {
@@ -65,7 +68,7 @@ fn check_expr(
                 out.push(
                     Diagnostic::error("E0004", format!("unbound variable `{x}`"))
                         .in_function(function)
-                        .at_path(path),
+                        .at_path(path.as_str()),
                 );
             }
         }
@@ -74,13 +77,15 @@ fn check_expr(
                 out.push(
                     Diagnostic::error("E0005", format!("reference to unknown function `{f}`"))
                         .in_function(function)
-                        .at_path(path),
+                        .at_path(path.as_str()),
                 );
             }
         }
         Expr::Prim(_, args) => {
             for (i, a) in args.iter().enumerate() {
-                check_expr(a, scope, arity, function, &format!("{path}.arg{i}"), out);
+                descend(path, format_args!("arg{i}"), |p| {
+                    check_expr(a, scope, arity, function, p, out)
+                });
             }
         }
         Expr::Call(f, args) => {
@@ -88,7 +93,7 @@ fn check_expr(
                 None => out.push(
                     Diagnostic::error("E0005", format!("call to unknown function `{f}`"))
                         .in_function(function)
-                        .at_path(path),
+                        .at_path(path.as_str()),
                 ),
                 Some(n) if *n != args.len() => out.push(
                     Diagnostic::error(
@@ -99,30 +104,42 @@ fn check_expr(
                         ),
                     )
                     .in_function(function)
-                    .at_path(path),
+                    .at_path(path.as_str()),
                 ),
                 Some(_) => {}
             }
             for (i, a) in args.iter().enumerate() {
-                check_expr(a, scope, arity, function, &format!("{path}.arg{i}"), out);
+                descend(path, format_args!("arg{i}"), |p| {
+                    check_expr(a, scope, arity, function, p, out)
+                });
             }
         }
         Expr::If(c, t, f) => {
-            check_expr(c, scope, arity, function, &format!("{path}.cond"), out);
-            check_expr(t, scope, arity, function, &format!("{path}.then"), out);
-            check_expr(f, scope, arity, function, &format!("{path}.else"), out);
+            descend(path, "cond", |p| {
+                check_expr(c, scope, arity, function, p, out)
+            });
+            descend(path, "then", |p| {
+                check_expr(t, scope, arity, function, p, out)
+            });
+            descend(path, "else", |p| {
+                check_expr(f, scope, arity, function, p, out)
+            });
         }
         Expr::Let(x, b, body) => {
-            check_expr(b, scope, arity, function, &format!("{path}.bound"), out);
+            descend(path, "bound", |p| {
+                check_expr(b, scope, arity, function, p, out)
+            });
             if scope.contains(x) {
                 out.push(
                     Diagnostic::warning("W0001", format!("`{x}` shadows an enclosing binding"))
                         .in_function(function)
-                        .at_path(path),
+                        .at_path(path.as_str()),
                 );
             }
             scope.push(*x);
-            check_expr(body, scope, arity, function, &format!("{path}.body"), out);
+            descend(path, "body", |p| {
+                check_expr(body, scope, arity, function, p, out)
+            });
             scope.pop();
         }
         Expr::Lambda(params, body) => {
@@ -134,19 +151,25 @@ fn check_expr(
                             format!("lambda parameter `{p}` shadows an enclosing binding"),
                         )
                         .in_function(function)
-                        .at_path(path),
+                        .at_path(path.as_str()),
                     );
                 }
             }
             let depth = scope.len();
             scope.extend(params.iter().copied());
-            check_expr(body, scope, arity, function, &format!("{path}.lambda"), out);
+            descend(path, "lambda", |p| {
+                check_expr(body, scope, arity, function, p, out)
+            });
             scope.truncate(depth);
         }
         Expr::App(f, args) => {
-            check_expr(f, scope, arity, function, &format!("{path}.callee"), out);
+            descend(path, "callee", |p| {
+                check_expr(f, scope, arity, function, p, out)
+            });
             for (i, a) in args.iter().enumerate() {
-                check_expr(a, scope, arity, function, &format!("{path}.arg{i}"), out);
+                descend(path, format_args!("arg{i}"), |p| {
+                    check_expr(a, scope, arity, function, p, out)
+                });
             }
         }
     }

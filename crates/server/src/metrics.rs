@@ -179,12 +179,12 @@ impl Metrics {
     /// atomically; the set is not a transaction, which is fine for
     /// reporting).
     ///
-    /// The `spec_vm_*` and `vm_inlined_calls` fields are read from the
-    /// VM's process-wide counters ([`ppe_vm::vm_stats`]) rather than this
-    /// instance. The caches they describe — the shared chunk cache and
-    /// the per-thread `(chunk, args)` result memo of the worker threads —
-    /// are not owned by one service, so a per-service split would
-    /// misattribute hits that one service earned from another's work.
+    /// The `spec_vm_*` fields are read from the VM's process-wide
+    /// counters ([`ppe_vm::vm_stats`]) rather than this instance. The
+    /// caches they describe — the shared chunk cache and the per-thread
+    /// `(chunk, args)` result memo of the worker threads — are not owned
+    /// by one service, so a per-service split would misattribute hits
+    /// that one service earned from another's work.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let r = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let vm = ppe_vm::vm_stats();
@@ -192,7 +192,6 @@ impl Metrics {
             spec_vm_evals: vm.spec_vm_evals,
             spec_vm_chunk_hits: vm.spec_vm_chunk_hits,
             spec_vm_chunk_misses: vm.spec_vm_chunk_misses,
-            vm_inlined_calls: vm.vm_inlined_calls,
             requests: r(&self.requests),
             cache_hits: r(&self.cache_hits),
             cache_misses: r(&self.cache_misses),
@@ -257,7 +256,6 @@ pub struct MetricsSnapshot {
     pub spec_vm_evals: u64,
     pub spec_vm_chunk_hits: u64,
     pub spec_vm_chunk_misses: u64,
-    pub vm_inlined_calls: u64,
     pub errors: u64,
     pub degraded: u64,
     pub shed: u64,
@@ -318,7 +316,6 @@ impl MetricsSnapshot {
             ("spec_vm_evals", Json::num(self.spec_vm_evals)),
             ("spec_vm_chunk_hits", Json::num(self.spec_vm_chunk_hits)),
             ("spec_vm_chunk_misses", Json::num(self.spec_vm_chunk_misses)),
-            ("vm_inlined_calls", Json::num(self.vm_inlined_calls)),
             ("errors", Json::num(self.errors)),
             ("degraded", Json::num(self.degraded)),
             ("shed", Json::num(self.shed)),
@@ -533,12 +530,6 @@ impl MetricsSnapshot {
             &[("", self.vm_chunks_compiled)],
         );
         family(
-            "ppe_vm_inlined_calls_total",
-            "counter",
-            "Cross-chunk call targets spliced inline by the compiler.",
-            &[("", self.vm_inlined_calls)],
-        );
-        family(
             "ppe_vm_opcodes_executed_total",
             "counter",
             "Opcodes dispatched by the VM across execute requests.",
@@ -634,7 +625,6 @@ mod tests {
         assert!(text.contains("\"spec_vm_evals\":"), "{text}");
         assert!(text.contains("\"spec_vm_chunk_hits\":"), "{text}");
         assert!(text.contains("\"spec_vm_chunk_misses\":"), "{text}");
-        assert!(text.contains("\"vm_inlined_calls\":"), "{text}");
         assert!(text.contains("\"shed\":0"), "{text}");
         assert!(text.contains("\"connections\":0"), "{text}");
         assert!(text.contains("\"inflight\":0"), "{text}");

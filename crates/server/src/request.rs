@@ -526,7 +526,10 @@ impl SpecializeResponse {
 
     /// Pre-renders the per-key-stable parts of this response's wire line,
     /// or `None` when the response has per-request payload (errors, shed
-    /// markers, execution results) that makes caching unsound.
+    /// markers, execution results, diagnostics) that makes caching
+    /// unsound. Diagnostics count as per-request: they describe the whole
+    /// program, while the cache key covers only the entry's reachable
+    /// closure, so two programs sharing a key may warn differently.
     ///
     /// Specialization output is deterministic per cache key — that is the
     /// invariant the residual cache itself rests on — so everything except
@@ -538,17 +541,12 @@ impl SpecializeResponse {
     /// which is tested byte-identical to [`SpecializeResponse::to_json`]).
     pub fn hit_template(&self) -> Option<RenderedHit> {
         let out = self.outcome.as_ref().ok()?;
-        if self.shed || self.exec.is_some() {
+        if self.shed || self.exec.is_some() || !self.diagnostics.is_empty() {
             return None;
         }
         let key = self.key?;
-        let mut mid = Json::Arr(out.degradations.iter().map(degradation_json).collect()).render();
-        if !self.diagnostics.is_empty() {
-            mid.push_str(",\"diagnostics\":");
-            mid.push_str(
-                &Json::Arr(self.diagnostics.iter().map(diagnostic_json).collect()).render(),
-            );
-        }
+        let degradations =
+            Json::Arr(out.degradations.iter().map(degradation_json).collect()).render();
         let mut tail = String::with_capacity(out.residual.len() + 256);
         tail.push_str("\"key\":");
         tail.push_str(&Json::str(key.to_string()).render());
@@ -557,7 +555,7 @@ impl SpecializeResponse {
         tail.push_str(",\"stats\":");
         tail.push_str(&stats_json(&out.stats).render());
         tail.push_str(",\"wall_us\":");
-        Some(RenderedHit { mid, tail })
+        Some(RenderedHit { degradations, tail })
     }
 }
 
@@ -565,9 +563,8 @@ impl SpecializeResponse {
 /// (`cache`, `id`, `wall_us`); see [`SpecializeResponse::hit_template`].
 #[derive(Clone, Debug)]
 pub struct RenderedHit {
-    /// From after `"degradations":` up to (exclusive) the `,` before
-    /// `"id"`/`"key"` — the degradations array plus any diagnostics.
-    mid: String,
+    /// The rendered degradations array.
+    degradations: String,
     /// From `"key"` through the `:` after `"wall_us"`.
     tail: String,
 }
@@ -576,8 +573,8 @@ impl RenderedHit {
     /// Assembles the full wire line for one request over this template's
     /// key. Byte-identical to `response.to_json(id).render()` for every
     /// response [`SpecializeResponse::hit_template`] accepts (object keys
-    /// stay in sorted order: cache, degradations, diagnostics, id, key,
-    /// ok, residual, stats, wall_us).
+    /// stay in sorted order: cache, degradations, id, key, ok, residual,
+    /// stats, wall_us).
     pub fn line(
         &self,
         disposition: CacheDisposition,
@@ -585,11 +582,11 @@ impl RenderedHit {
         wall_micros: u64,
     ) -> String {
         use std::fmt::Write as _;
-        let mut out = String::with_capacity(self.mid.len() + self.tail.len() + 64);
+        let mut out = String::with_capacity(self.degradations.len() + self.tail.len() + 64);
         out.push_str("{\"cache\":\"");
         out.push_str(disposition.name());
         out.push_str("\",\"degradations\":");
-        out.push_str(&self.mid);
+        out.push_str(&self.degradations);
         if let Some(id) = id {
             out.push_str(",\"id\":");
             out.push_str(&id.render());
@@ -818,15 +815,15 @@ mod tests {
             }
         }
 
-        // Diagnostics are per-key-stable and ride inside the template.
+        // Per-request payload disqualifies caching entirely. Diagnostics
+        // come from the whole program, not the keyed closure, so two
+        // programs sharing a key may carry different ones.
         resp.diagnostics = vec![Diagnostic::warning("W0001", "unused parameter")];
-        let template = resp.hit_template().expect("template-eligible");
-        assert_eq!(
-            template.line(resp.disposition, None, resp.wall_micros),
-            resp.to_json(None).render(),
+        assert!(
+            resp.hit_template().is_none(),
+            "diagnostics vary per program"
         );
-
-        // Per-request payload disqualifies caching entirely.
+        resp.diagnostics.clear();
         resp.shed = true;
         assert!(resp.hit_template().is_none(), "shed responses vary");
         resp.shed = false;

@@ -194,7 +194,7 @@ impl RenderCache {
     fn line(&mut self, response: &SpecializeResponse, id: Option<&Json>) -> String {
         if let Some(key) = response.key.filter(|_| response.outcome.is_ok()) {
             if let Some(template) = self.map.get(&key) {
-                if !response.shed && response.exec.is_none() {
+                if !response.shed && response.exec.is_none() && response.diagnostics.is_empty() {
                     return template.line(response.disposition, id, response.wall_micros);
                 }
             } else if let Some(template) = response.hit_template() {
@@ -751,6 +751,28 @@ mod tests {
         }
         assert_eq!(summary.requests, 12);
         assert_eq!(summary.errors, 0);
+    }
+
+    #[test]
+    fn warm_hits_carry_their_own_programs_diagnostics() {
+        // Both programs resolve `f` to the same cache key (the key covers
+        // only the entry's reachable closure), but the pre-flight warnings
+        // about `g` belong only to the program that defines it.
+        let with_g = r#"{"program": "(define (f x) (+ x 1)) (define (g y) (g y))", "inputs": "_"}"#;
+        let without_g = r#"{"program": "(define (f x) (+ x 1))", "inputs": "_"}"#;
+        for (first, second) in [(with_g, without_g), (without_g, with_g)] {
+            let (lines, _) = run(&format!("{first}\n{second}\n"), 1);
+            assert_eq!(lines.len(), 2, "{lines:?}");
+            assert!(lines[1].contains("\"cache\":\"hit\""), "{}", lines[1]);
+            for (request, line) in [first, second].iter().zip(&lines) {
+                let has_g = request.contains("(g y)");
+                let warned = (
+                    line.contains("\"diagnostics\""),
+                    line.contains("\"function\":\"g\""),
+                );
+                assert_eq!(warned, (has_g, has_g), "{request} -> {line}");
+            }
+        }
     }
 
     #[test]

@@ -49,7 +49,6 @@ fn fixed_snapshot() -> MetricsSnapshot {
     s.spec_vm_evals = 122;
     s.spec_vm_chunk_hits = 123;
     s.spec_vm_chunk_misses = 124;
-    s.vm_inlined_calls = 125;
     s.errors = 126;
     s.degraded = 127;
     s.shed = 128;

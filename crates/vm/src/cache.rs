@@ -1,17 +1,13 @@
 //! The process-wide chunk cache and VM counters.
 //!
-//! Compiled programs are keyed by a pair of fingerprints over the entry
-//! point's *reachable closure* (`ppe_analyze::depgraph`): the entry's
-//! spelling-stable closure fingerprint and an FNV-1a combination of the
-//! hash-consed [`Term`] fingerprints of every reachable definition body
-//! (the PR-5 interner makes the latter O(1) per already-interned body).
-//! Keying on the closure rather than the whole program means editing a
-//! definition the entry cannot reach — dead code in a residual, say —
-//! keeps the compiled chunks warm. That is sound because execution
-//! enters through the entry and can only ever apply functions in its
-//! closure ([`crate::chunk::CompiledProgram`] chunks outside it are
-//! never dispatched). Two independent 64-bit hashes make an accidental
-//! collision in a bounded in-process cache vanishingly unlikely.
+//! Compiled programs are keyed by two independent 64-bit fingerprints of
+//! the *whole* program: [`Program::fingerprint`] (spelling-stable, and
+//! memoized on the program, so a parsed program shared through an `Arc`
+//! pays for it once) and an FNV-1a combination of every definition's
+//! hash-consed [`Term`] fingerprint and arity. Editing any definition
+//! changes the key, so a hit always returns chunks compiled from a program
+//! structurally equal to the caller's. Two independent hashes make an
+//! accidental collision in a bounded in-process cache vanishingly unlikely.
 //!
 //! [`CompiledProgram`]s contain only plain data, so the cache is shared
 //! across threads; repeat executions of the same residual — the dominant
@@ -22,7 +18,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use ppe_analyze::depgraph::DepGraph;
 use ppe_lang::{term::Term, Expr, FunDef, Program, Symbol};
 
 use crate::chunk::CompiledProgram;
@@ -39,7 +34,6 @@ static OPS_EXECUTED: AtomicU64 = AtomicU64::new(0);
 static SPEC_VM_EVALS: AtomicU64 = AtomicU64::new(0);
 static SPEC_VM_CHUNK_HITS: AtomicU64 = AtomicU64::new(0);
 static SPEC_VM_CHUNK_MISSES: AtomicU64 = AtomicU64::new(0);
-static VM_INLINED_CALLS: AtomicU64 = AtomicU64::new(0);
 
 /// Monotonic process-wide VM counters, in the mold of
 /// [`ppe_lang::interner_stats`].
@@ -59,10 +53,6 @@ pub struct VmStats {
     pub spec_vm_chunk_hits: u64,
     /// Specializer static-eval chunks compiled fresh.
     pub spec_vm_chunk_misses: u64,
-    /// Call sites spliced into their caller during bytecode lowering
-    /// (cross-chunk inlining; counted at compile time, so chunk-cache hits
-    /// do not re-count them).
-    pub vm_inlined_calls: u64,
 }
 
 /// Reads the current VM counters.
@@ -74,7 +64,6 @@ pub fn vm_stats() -> VmStats {
         spec_vm_evals: SPEC_VM_EVALS.load(Ordering::Relaxed),
         spec_vm_chunk_hits: SPEC_VM_CHUNK_HITS.load(Ordering::Relaxed),
         spec_vm_chunk_misses: SPEC_VM_CHUNK_MISSES.load(Ordering::Relaxed),
-        vm_inlined_calls: VM_INLINED_CALLS.load(Ordering::Relaxed),
     }
 }
 
@@ -90,10 +79,6 @@ pub(crate) fn note_spec_chunk_hit() {
     SPEC_VM_CHUNK_HITS.fetch_add(1, Ordering::Relaxed);
 }
 
-pub(crate) fn note_inlined_call() {
-    VM_INLINED_CALLS.fetch_add(1, Ordering::Relaxed);
-}
-
 type ChunkMap = HashMap<(u64, u64), Arc<CompiledProgram>>;
 
 fn cache() -> &'static Mutex<ChunkMap> {
@@ -101,16 +86,9 @@ fn cache() -> &'static Mutex<ChunkMap> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// The cache key: `(closure fingerprint of the entry point, FNV-1a over
-/// the Term fingerprints and arities of the entry's reachable bodies)`.
-/// Definitions outside the entry's closure cannot be dispatched, so they
-/// are deliberately absent from both components.
+/// The cache key: `(Program::fingerprint, FNV-1a over every definition's
+/// Term fingerprint and arity)`.
 fn chunk_key(program: &Program) -> (u64, u64) {
-    let graph = DepGraph::of_program(program);
-    let entry = program.main().name;
-    let closure_fp = graph
-        .closure_fingerprint(entry)
-        .expect("entry is a definition of the same program");
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |x: u64| {
         for b in x.to_le_bytes() {
@@ -118,13 +96,34 @@ fn chunk_key(program: &Program) -> (u64, u64) {
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
     };
-    let reachable = graph.reachable(entry).expect("entry is defined");
-    for name in reachable {
-        let d = program.lookup(name).expect("reachable names are defined");
+    for d in program.defs() {
         mix(Term::from_expr(&d.body).fingerprint());
         mix(d.params.len() as u64);
     }
-    (closure_fp, h)
+    (program.fingerprint(), h)
+}
+
+/// Returns the compiled program cached under `key` (counting a hit in
+/// `hits`), or runs `build`, counts its chunks and caches the result.
+/// The flag says whether it was a hit. Failures are not cached: they are
+/// rare and cheap to rediscover.
+fn get_or_compile<E>(
+    key: (u64, u64),
+    hits: &AtomicU64,
+    build: impl FnOnce() -> Result<CompiledProgram, E>,
+) -> Result<(Arc<CompiledProgram>, bool), E> {
+    if let Some(found) = cache().lock().expect("chunk cache poisoned").get(&key) {
+        hits.fetch_add(1, Ordering::Relaxed);
+        return Ok((Arc::clone(found), true));
+    }
+    let cp = Arc::new(build()?);
+    CHUNKS_COMPILED.fetch_add(cp.chunks.len() as u64, Ordering::Relaxed);
+    let mut map = cache().lock().expect("chunk cache poisoned");
+    if map.len() >= CACHE_CAP {
+        map.clear();
+    }
+    map.insert(key, Arc::clone(&cp));
+    Ok((cp, false))
 }
 
 /// Compiles `program` through the process-wide cache.
@@ -133,39 +132,22 @@ fn chunk_key(program: &Program) -> (u64, u64) {
 /// chunks were compiled (0 on a hit) — the latter two feed per-request
 /// metrics.
 ///
-/// Caching is keyed on the *entry point's reachable closure*: two
-/// programs that agree on everything `main` can reach share an entry
-/// even if they differ in unreachable definitions, and a hit may return
-/// chunks compiled from the other program. That sharing is sound for
-/// execution through [`crate::execute_main`] (the only dispatch paths
-/// are inside the closure); callers that invoke non-entry chunks
-/// directly must not rely on unreachable chunks matching `program`.
-///
 /// # Errors
 ///
 /// [`CompileError`] when lowering fails structurally; failures are not
-/// cached (they are cheap to rediscover and rare).
+/// cached.
 pub fn compile_cached(
     program: &Program,
 ) -> Result<(Arc<CompiledProgram>, bool, u64), CompileError> {
-    let key = chunk_key(program);
-    if let Some(found) = cache().lock().expect("chunk cache poisoned").get(&key) {
-        CHUNK_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        return Ok((Arc::clone(found), true, 0));
-    }
-    let cp = Arc::new(compile::compile(program)?);
-    let n_chunks = cp.chunks.len() as u64;
-    CHUNKS_COMPILED.fetch_add(n_chunks, Ordering::Relaxed);
-    let mut map = cache().lock().expect("chunk cache poisoned");
-    if map.len() >= CACHE_CAP {
-        map.clear();
-    }
-    map.insert(key, Arc::clone(&cp));
-    Ok((cp, false, n_chunks))
+    let (cp, hit) = get_or_compile(chunk_key(program), &CHUNK_CACHE_HITS, || {
+        compile::compile(program)
+    })?;
+    let compiled = if hit { 0 } else { cp.chunks.len() as u64 };
+    Ok((cp, hit, compiled))
 }
 
 /// Namespace tag for specializer static-eval chunks in the shared map: a
-/// fixed first key component no real closure fingerprint will collide with
+/// fixed first key component no real program fingerprint will collide with
 /// in practice (two independent 64-bit spaces; the second component is the
 /// subtree's own Term fingerprint, which is content-addressed and therefore
 /// stable across runs and safe under wholesale eviction).
@@ -180,29 +162,17 @@ const SPEC_MARKER: u64 = 0x5bec_e7a1_57a7_1c00;
 /// fails structurally; failures are not cached (rare, cheap to
 /// rediscover).
 pub fn spec_chunk(key: u64, body: &Expr, params: &[Symbol]) -> Option<Arc<CompiledProgram>> {
-    let map_key = (SPEC_MARKER, key);
-    {
-        let map = cache().lock().expect("chunk cache poisoned");
-        if let Some(found) = map.get(&map_key) {
-            SPEC_VM_CHUNK_HITS.fetch_add(1, Ordering::Relaxed);
-            return Some(Arc::clone(found));
-        }
-    }
-    SPEC_VM_CHUNK_MISSES.fetch_add(1, Ordering::Relaxed);
-    let program = Program::new(vec![FunDef::new(
-        Symbol::intern("spec_eval_chunk"),
-        params.to_vec(),
-        body.clone(),
-    )])
-    .ok()?;
-    let cp = Arc::new(compile::compile(&program).ok()?);
-    CHUNKS_COMPILED.fetch_add(cp.chunks.len() as u64, Ordering::Relaxed);
-    let mut map = cache().lock().expect("chunk cache poisoned");
-    if map.len() >= CACHE_CAP {
-        map.clear();
-    }
-    map.insert(map_key, Arc::clone(&cp));
-    Some(cp)
+    let compiled = get_or_compile((SPEC_MARKER, key), &SPEC_VM_CHUNK_HITS, || {
+        SPEC_VM_CHUNK_MISSES.fetch_add(1, Ordering::Relaxed);
+        let program = Program::new(vec![FunDef::new(
+            Symbol::intern("spec_eval_chunk"),
+            params.to_vec(),
+            body.clone(),
+        )])
+        .map_err(drop)?;
+        compile::compile(&program).map_err(drop)
+    });
+    compiled.ok().map(|(cp, _)| cp)
 }
 
 #[cfg(test)]
@@ -233,21 +203,27 @@ mod tests {
     }
 
     #[test]
-    fn unreachable_edits_keep_the_key_stable() {
-        let a =
-            parse_program("(define (f x) (g x)) (define (g x) (* x 3)) (define (dead x) (+ x 1))")
-                .unwrap();
-        let b =
-            parse_program("(define (f x) (g x)) (define (g x) (* x 3)) (define (dead x) (+ x 99))")
-                .unwrap();
-        assert_eq!(
+    fn editing_any_definition_changes_the_key() {
+        let src = |g: &str, dead: &str| {
+            format!("(define (f x) (g x)) (define (g x) (* x {g})) (define (dead x) (+ x {dead}))")
+        };
+        let a = parse_program(&src("3", "1")).unwrap();
+        let reachable = parse_program(&src("4", "1")).unwrap();
+        assert_ne!(
             chunk_key(&a),
-            chunk_key(&b),
-            "editing a def unreachable from the entry must not recompile"
+            chunk_key(&reachable),
+            "reachable edits must miss"
         );
-        let c =
-            parse_program("(define (f x) (g x)) (define (g x) (* x 4)) (define (dead x) (+ x 1))")
-                .unwrap();
-        assert_ne!(chunk_key(&a), chunk_key(&c), "reachable edits must miss");
+        let unreachable = parse_program(&src("3", "99")).unwrap();
+        assert_ne!(
+            chunk_key(&a),
+            chunk_key(&unreachable),
+            "edits to definitions the entry cannot reach must miss too"
+        );
+        let arity = parse_program(
+            "(define (f x) (g x)) (define (g x) (* x 3)) (define (dead x y) (+ x 1))",
+        )
+        .unwrap();
+        assert_ne!(chunk_key(&a), chunk_key(&arity), "arity edits must miss");
     }
 }

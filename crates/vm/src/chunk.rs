@@ -236,22 +236,6 @@ pub enum Op {
         /// Destination register.
         dst: u16,
     },
-    /// Enter a call the compiler spliced into this chunk (cross-chunk
-    /// inlining, see [`crate::compile()`]): the instructions
-    /// up to the balancing [`Op::LeaveInline`] are the callee's body,
-    /// compiled against the argument window the caller just filled.
-    ///
-    /// The marker charges fuel and checks the call-depth budget *exactly*
-    /// as the [`Op::Call`] it replaced would have — name resolution and
-    /// arity were compile-time facts for that call too — so budget
-    /// accounting and error classification are bit-identical to the
-    /// uninlined program; what is saved is the frame push/pop and the
-    /// register-file resize.
-    EnterInline,
-    /// Leave an inlined call body (balances [`Op::EnterInline`]; every
-    /// path the compiler emits through an inlined body passes both
-    /// markers, so the VM's inline-depth counter stays balanced).
-    LeaveInline,
     /// `regs[src] = nil` — drop a binding the compiler proved dead.
     ///
     /// Emitted after a call window is populated from a variable whose last

@@ -20,14 +20,11 @@
 //! The analysis is conservative (it ignores shadowing and looks inside
 //! lambda bodies), so a missed steal costs a clone, never correctness.
 
-use std::collections::{HashMap, HashSet};
-use std::mem;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ppe_analyze::depgraph::DepGraph;
-use ppe_lang::{Const, EvalError, Expr, FunDef, Prim, Program, Symbol};
+use ppe_lang::{Const, EvalError, Expr, Prim, Program, Symbol};
 
-use crate::cache;
 use crate::chunk::{
     Chunk, CompiledProgram, LambdaSite, Op, OPND_CONST, OPND_MAX_CONST, OPND_MAX_REG,
     OPND_REG_MASK, OPND_STEAL,
@@ -48,78 +45,6 @@ pub const MAX_COMPILE_DEPTH: u32 = 10_000;
 /// shorter spine of leaves already collapses into one [`Op::Fused`], so
 /// the fold superinstruction only pays for itself from four elements up.
 const MIN_FOLD_CHAIN: usize = 4;
-
-/// Largest callee body (in AST nodes) cross-chunk inlining splices into a
-/// caller. Plays the role the specializer's `Budget::max_residual_size`
-/// plays for unfolding: a cap on how much code duplication one decision
-/// may cost, applied at lowering time.
-const MAX_INLINE_SIZE: u64 = 48;
-
-/// How deep inlined bodies may nest inside one chunk: an inlinable
-/// callee's own calls may inline again, and a chain `f → g → h` stops
-/// splicing past this many levels and falls back to [`Op::Call`].
-const MAX_INLINE_DEPTH: u32 = 3;
-
-/// Size of `e` in AST nodes, or `None` when `e` contains a construct the
-/// inliner refuses to splice (`lambda`, first-class application, or a
-/// function reference — splicing those would have to replicate the
-/// closure-capture protocol inside a foreign frame for no measurable
-/// benefit; residual call chains are made of plain calls).
-fn inline_body_size(e: &Expr) -> Option<u64> {
-    let mut size: u64 = 0;
-    let mut stack = vec![e];
-    while let Some(e) = stack.pop() {
-        size += 1;
-        match e {
-            Expr::Const(_) | Expr::Var(_) => {}
-            Expr::Lambda(..) | Expr::App(..) | Expr::FnRef(_) => return None,
-            Expr::Prim(_, args) => stack.extend(args.iter()),
-            Expr::If(c, t, f) => {
-                stack.push(c);
-                stack.push(t);
-                stack.push(f);
-            }
-            Expr::Call(_, args) => stack.extend(args.iter()),
-            Expr::Let(_, bound, body) => {
-                stack.push(bound);
-                stack.push(body);
-            }
-        }
-    }
-    Some(size)
-}
-
-/// The definitions callers may splice: first-definition-wins resolvable,
-/// provably non-recursive (a singleton SCC of the dependency graph with no
-/// self-edge — SCC condensation is what rules out mutual recursion, not
-/// just direct self-calls), and with a small, closure-free body.
-fn inlinable_defs(program: &Program) -> HashSet<Symbol> {
-    let mut out = HashSet::new();
-    let graph = DepGraph::of_program(program);
-    let defs = program.defs();
-    let mut seen = HashSet::with_capacity(defs.len());
-    for d in defs {
-        if !seen.insert(d.name) {
-            continue; // shadowed duplicate: calls resolve to the first
-        }
-        let singleton = defs
-            .iter()
-            .filter(|o| graph.scc_of(o.name) == graph.scc_of(d.name))
-            .count()
-            == 1;
-        let self_loop = graph.callees(d.name).is_none_or(|cs| cs.contains(&d.name));
-        if !singleton || self_loop {
-            continue;
-        }
-        match inline_body_size(&d.body) {
-            Some(size) if size <= MAX_INLINE_SIZE => {
-                out.insert(d.name);
-            }
-            _ => {}
-        }
-    }
-    out
-}
 
 /// Why a program could not be lowered to bytecode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -177,7 +102,6 @@ static INSTANCE: AtomicU64 = AtomicU64::new(1);
 
 struct Builder<'p> {
     program: &'p Program,
-    inlinable: HashSet<Symbol>,
     chunks: Vec<Chunk>,
     consts: Vec<Const>,
     const_ids: HashMap<Const, u32>,
@@ -227,9 +151,6 @@ impl<'p> Builder<'p> {
 /// [`CompileErrorKind`]). Semantic errors (unbound variables, unknown
 /// functions, bad arities) do *not* fail compilation — they lower to
 /// [`Op::Fail`] so their runtime classification matches the oracle.
-/// Cross-chunk inlining never introduces failures either: a splice that
-/// would trip a structural limit is rolled back and the call lowers to a
-/// plain [`Op::Call`].
 ///
 /// # Examples
 ///
@@ -251,7 +172,6 @@ pub fn compile(program: &Program) -> Result<CompiledProgram, CompileError> {
     }
     let mut b = Builder {
         program,
-        inlinable: inlinable_defs(program),
         chunks: vec![placeholder_chunk(); defs.len()],
         consts: Vec::new(),
         const_ids: HashMap::new(),
@@ -332,7 +252,6 @@ fn compile_fn<'p>(
         next_reg: 0,
         max_reg: 0,
         depth: 0,
-        inline_depth: 0,
         fuse_barrier: 0,
     };
     for &p in params.iter().chain(captures) {
@@ -365,9 +284,6 @@ struct FnCompiler<'a, 'p> {
     next_reg: u16,
     max_reg: u16,
     depth: u32,
-    /// How many inlined bodies enclose the expression being compiled
-    /// (bounded by [`MAX_INLINE_DEPTH`]).
-    inline_depth: u32,
     /// Instructions at indices below this may not participate in peephole
     /// fusion: a jump target lands at (or below) this position, so the
     /// producer/consumer pair would not be adjacent on the jumping path.
@@ -468,59 +384,6 @@ impl<'p> FnCompiler<'_, 'p> {
             }
             released.push(reg);
             self.emit(Op::Release { src: reg });
-        }
-    }
-
-    /// Splices the body of definition `func` in place of a call whose
-    /// argument window is already populated at `base` (and whose name and
-    /// arity resolution already succeeded). Returns `Ok(false)` when the
-    /// callee is not eligible or the splice had to be rolled back.
-    ///
-    /// The callee's body compiles against a *fresh* scope binding only its
-    /// parameters to the window registers — exactly the environment a real
-    /// call would run under, so caller bindings can neither be captured nor
-    /// stolen by the spliced code. [`Op::EnterInline`]/[`Op::LeaveInline`]
-    /// bracket the body so the VM charges fuel and checks depth as the
-    /// replaced call would have. A structural limit tripped mid-splice
-    /// (nesting, registers) unwinds the emitted code and reports the site
-    /// as not inlined — inlining can therefore never make a program
-    /// uncompilable that compiles without it.
-    fn try_inline(&mut self, func: u32, base: u16, dst: u16) -> Result<bool, CompileError> {
-        let program: &'p Program = self.b.program;
-        let def: &'p FunDef = &program.defs()[func as usize];
-        if self.inline_depth >= MAX_INLINE_DEPTH || !self.b.inlinable.contains(&def.name) {
-            return Ok(false);
-        }
-        let code_mark = self.code.len();
-        let reg_mark = self.next_reg;
-        self.emit(Op::EnterInline);
-        let saved_scope = mem::replace(
-            &mut self.scope,
-            def.params
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| (p, base + i as u16))
-                .collect(),
-        );
-        self.inline_depth += 1;
-        let out = self.expr(&def.body, dst);
-        self.inline_depth -= 1;
-        self.scope = saved_scope;
-        match out {
-            Ok(()) => {
-                self.emit(Op::LeaveInline);
-                cache::note_inlined_call();
-                Ok(true)
-            }
-            Err(_) => {
-                // Roll back and let the plain-call path lower this site.
-                // (The fuse barrier may now sit past the truncation point;
-                // that only suppresses peepholes until the code grows back,
-                // never soundness.)
-                self.code.truncate(code_mark);
-                self.next_reg = reg_mark;
-                Ok(false)
-            }
         }
     }
 
@@ -982,9 +845,7 @@ impl<'p> FnCompiler<'_, 'p> {
                     Some(func) => {
                         let expected = self.b.program.defs()[func as usize].arity();
                         if expected == args.len() {
-                            if !self.try_inline(func, base, dst)? {
-                                self.emit(Op::Call { func, dst, base, n });
-                            }
+                            self.emit(Op::Call { func, dst, base, n });
                         } else {
                             let err = self.b.error_id(EvalError::Arity {
                                 function: *name,

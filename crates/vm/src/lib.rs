@@ -14,10 +14,10 @@
 //! fuel exhaustion and call-depth limits (see `tests/vm_differential.rs`
 //! and the golden-corpus sweep at the workspace root).
 //!
-//! Compiled programs are cached process-wide, keyed by the hash-consed
-//! term fingerprints of their definition bodies, so repeat executions —
-//! the dominant pattern behind the server's `"execute"` path — skip
-//! compilation entirely; see [`compile_cached`] and [`vm_stats`].
+//! Compiled programs are cached process-wide, keyed by fingerprints of
+//! the whole program, so repeat executions — the dominant pattern behind
+//! the server's `"execute"` path — skip compilation entirely; see
+//! [`compile_cached`] and [`vm_stats`].
 //!
 //! # Quick example
 //!

@@ -458,12 +458,6 @@ impl Vm {
         let mut cur_chunk: u32 = entry;
         let mut pc: usize = 0;
         let mut base: usize = 0;
-        // Calls the compiler spliced into their caller have no frame, but
-        // the oracle still counts them against the call-depth budget; the
-        // EnterInline/LeaveInline markers keep this balanced counter so
-        // every depth check below sees the same effective depth the
-        // uninlined program would.
-        let mut inline_depth: u32 = 0;
 
         let out = (|| loop {
             let op = chunk.code[pc];
@@ -615,19 +609,6 @@ impl Vm {
                     let v = prim.eval(&regs[lo..lo + usize::from(n)])?;
                     regs[base + usize::from(dst)] = v;
                 }
-                Op::EnterInline => {
-                    // Exactly the charge sequence of the Op::Call this
-                    // marker replaced: fuel, then depth.
-                    if self.fuel == 0 {
-                        return Err(EvalError::OutOfFuel);
-                    }
-                    self.fuel -= 1;
-                    if frames.len() as u32 + inline_depth + 1 >= self.opts.max_depth {
-                        return Err(EvalError::DepthExceeded);
-                    }
-                    inline_depth += 1;
-                }
-                Op::LeaveInline => inline_depth -= 1,
                 Op::Release { src } => {
                     regs[base + usize::from(src)] = nil();
                 }
@@ -649,7 +630,7 @@ impl Vm {
                         return Err(EvalError::OutOfFuel);
                     }
                     self.fuel -= 1;
-                    if frames.len() as u32 + inline_depth + 1 >= self.opts.max_depth {
+                    if frames.len() as u32 + 1 >= self.opts.max_depth {
                         return Err(EvalError::DepthExceeded);
                     }
                     frames.push(Frame {
@@ -686,7 +667,7 @@ impl Vm {
                                 return Err(EvalError::OutOfFuel);
                             }
                             self.fuel -= 1;
-                            if frames.len() as u32 + inline_depth + 1 >= self.opts.max_depth {
+                            if frames.len() as u32 + 1 >= self.opts.max_depth {
                                 return Err(EvalError::DepthExceeded);
                             }
                             frames.push(Frame {
@@ -714,7 +695,7 @@ impl Vm {
                                 return Err(EvalError::OutOfFuel);
                             }
                             self.fuel -= 1;
-                            if frames.len() as u32 + inline_depth + 1 >= self.opts.max_depth {
+                            if frames.len() as u32 + 1 >= self.opts.max_depth {
                                 return Err(EvalError::DepthExceeded);
                             }
                             let site = match (env.lookup(instance_key()), env.lookup(site_key())) {

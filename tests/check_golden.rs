@@ -90,6 +90,30 @@ fn unbound_var_message_is_exact() {
     );
 }
 
+/// Each pass threads one path buffer through a body, so checking stays
+/// linear in nesting depth: a 60 000-deep body (a ~300 KB line, well under
+/// the server's 1 MiB cap) checks in megabytes, and its one finding still
+/// carries its full path.
+#[test]
+fn deeply_nested_body_checks_with_its_full_path() {
+    const DEPTH: usize = 60_000;
+    let src = format!(
+        "(define (f x) {}y{})",
+        "(+ x ".repeat(DEPTH),
+        ")".repeat(DEPTH)
+    );
+    let report = std::thread::Builder::new()
+        .stack_size(ppe::server::WORKER_STACK_BYTES)
+        .spawn(move || ppe::analyze::check_source(&src))
+        .unwrap()
+        .join()
+        .unwrap();
+    assert_eq!(report.diagnostics.len(), 1, "one unbound `y`, nothing else");
+    let d = &report.diagnostics[0];
+    assert_eq!(d.code, "E0004");
+    assert_eq!(d.path, format!("body{}", ".arg1".repeat(DEPTH)));
+}
+
 #[test]
 fn bad_arity_message_is_exact() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/ill-formed/bad-arity.sexp");

@@ -9,7 +9,7 @@
 mod common;
 
 use common::{int_expr, program_of, small_const, CORPUS};
-use ppe::lang::{parse_program, EvalError, Evaluator, Program, Value};
+use ppe::lang::{parse_program, EvalError, Evaluator, Expr, FunDef, Prim, Program, Symbol, Value};
 use ppe::online::{OnlinePe, PeInput};
 use ppe::vm::{compile, Vm, VmOptions};
 use proptest::prelude::*;
@@ -230,8 +230,66 @@ fn fold_chain_parity() {
     }
 }
 
+/// A call argument: often a bare variable, so the compiler's
+/// `Op::Release` of a binding that dies in the call window gets exercised.
+fn call_arg() -> impl Strategy<Value = Expr> {
+    prop_oneof![Just(Expr::var("x")), Just(Expr::var("y")), int_expr()]
+}
+
+/// Caller bodies over `x` and `y` that call the helper `g` — at the top,
+/// in `if` conditions and branches, and in `let` bindings and bodies.
+fn caller_expr() -> impl Strategy<Value = Expr> {
+    let call = || (call_arg(), call_arg()).prop_map(|(a, b)| Expr::call("g", vec![a, b]));
+    prop_oneof![call(), int_expr()].prop_recursive(3, 24, 3, move |inner| {
+        prop_oneof![
+            (inner.clone(), call()).prop_map(|(a, c)| Expr::prim(Prim::Add, vec![a, c])),
+            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(a, t, f)| {
+                let c = Expr::prim(Prim::Lt, vec![a, Expr::int(1)]);
+                Expr::If(Box::new(c), Box::new(t), Box::new(f))
+            }),
+            (inner.clone(), inner).prop_map(|(bound, body)| {
+                let z = Symbol::intern("z");
+                let body = Expr::prim(Prim::Mul, vec![Expr::Var(z), body]);
+                Expr::Let(z, Box::new(bound), Box::new(body))
+            }),
+        ]
+    })
+}
+
+/// `(define (f x y) <caller>) (define (g x y) <helper>)`: every call to
+/// `g` crosses from one chunk to another.
+fn caller_and_helper(caller: &Expr, helper: &Expr) -> Program {
+    let params = || vec![Symbol::intern("x"), Symbol::intern("y")];
+    Program::new(vec![
+        FunDef::new(Symbol::intern("f"), params(), caller.clone()),
+        FunDef::new(Symbol::intern("g"), params(), helper.clone()),
+    ])
+    .expect("two definitions")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Cross-chunk calls to a non-recursive helper: identical
+    /// value-or-error and fuel on both engines, at full fuel and starved.
+    #[test]
+    fn vm_agrees_on_random_cross_chunk_calls(
+        caller in caller_expr(),
+        helper in int_expr(),
+        x in -6i64..=6,
+        y in small_const(),
+    ) {
+        let program = caller_and_helper(&caller, &helper);
+        let args = [Value::Int(x), Value::from_const(y)];
+        let (a, v, used, vf) = differential(&program, &args, 100_000);
+        prop_assert_eq!(&a, &v, "engines diverge");
+        prop_assert_eq!(used, vf, "fuel meters diverge");
+        for fuel in [0, used / 2, used.saturating_sub(1)] {
+            let (a, v, af, vf) = differential(&program, &args, fuel);
+            prop_assert_eq!(&a, &v, "starved engines diverge at fuel={}", fuel);
+            prop_assert_eq!(af, vf, "starved fuel meters diverge at fuel={}", fuel);
+        }
+    }
 
     /// Random typed expressions: identical value-or-error on both engines,
     /// with identical fuel consumption.
