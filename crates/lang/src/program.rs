@@ -69,6 +69,8 @@ pub struct Program {
     /// construction, so the hash is computed at most once per program
     /// (clones inherit an already-computed value for free).
     fingerprint: std::sync::OnceLock<u64>,
+    /// Memoized [`Program::term_fingerprint`], on the same terms.
+    term_fingerprint: std::sync::OnceLock<u64>,
 }
 
 impl Program {
@@ -92,6 +94,7 @@ impl Program {
             defs,
             index,
             fingerprint: std::sync::OnceLock::new(),
+            term_fingerprint: std::sync::OnceLock::new(),
         })
     }
 
@@ -239,6 +242,26 @@ impl Program {
                     h.write_str(p.as_str());
                 }
                 hash_expr(&d.body, &mut h);
+            }
+            h.finish()
+        })
+    }
+
+    /// A second 64-bit structural fingerprint, independent of
+    /// [`Program::fingerprint`]: FNV-1a over every definition's body
+    /// fingerprint ([`crate::term::fingerprint_of`], equal to the interned
+    /// [`crate::Term`]'s) and arity, in order. It mixes [`Symbol`] indices,
+    /// so it is stable only within one process. The VM chunk cache keys on
+    /// the pair of the two.
+    ///
+    /// The walk interns nothing, runs once per program, and is memoized
+    /// like [`Program::fingerprint`].
+    pub fn term_fingerprint(&self) -> u64 {
+        *self.term_fingerprint.get_or_init(|| {
+            let mut h = Fnv64::new();
+            for d in &self.defs {
+                h.write_u64(crate::term::fingerprint_of(&d.body));
+                h.write_usize(d.params.len());
             }
             h.finish()
         })

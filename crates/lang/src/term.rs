@@ -411,53 +411,113 @@ impl Term {
 /// Computes `(fingerprint, size, free)` for a node whose children are
 /// already interned (so their metadata is O(1) to read).
 fn describe(node: &TermNode) -> (u64, u32, Vec<(Symbol, u32)>) {
-    let kids_fp = |tag: u64, kids: &[Term]| {
-        kids.iter()
-            .fold(mix(tag, kids.len() as u64), |h, k| mix(h, k.fingerprint()))
-    };
     let kids_size = |kids: &[Term]| kids.iter().map(|k| k.0.size).sum::<u32>();
     match node {
-        TermNode::Const(c) => (mix(10, const_bits(c)), 1, Vec::new()),
-        TermNode::Var(x) => (mix(11, u64::from(x.index())), 1, vec![(*x, 1)]),
+        TermNode::Const(c) => (fp::constant(c), 1, Vec::new()),
+        TermNode::Var(x) => (fp::var(*x), 1, vec![(*x, 1)]),
         TermNode::Prim(p, args) => (
-            kids_fp(mix(12, p.name().len() as u64 ^ fp_str(p.name())), args),
+            fp::prim(*p, args.iter().map(Term::fingerprint)),
             1 + kids_size(args),
             merge_many(args.iter()),
         ),
         TermNode::If(c, t, f) => (
-            mix(
-                mix(mix(13, c.fingerprint()), t.fingerprint()),
-                f.fingerprint(),
-            ),
+            fp::if_(c.fingerprint(), t.fingerprint(), f.fingerprint()),
             1 + c.0.size + t.0.size + f.0.size,
             merge_free(&merge_free(c.free_vars(), t.free_vars()), f.free_vars()),
         ),
         TermNode::Call(f, args) => (
-            kids_fp(mix(14, u64::from(f.index())), args),
+            fp::call(*f, args.iter().map(Term::fingerprint)),
             1 + kids_size(args),
             merge_many(args.iter()),
         ),
         TermNode::Let(x, b, body) => (
-            mix(
-                mix(mix(15, u64::from(x.index())), b.fingerprint()),
-                body.fingerprint(),
-            ),
+            fp::let_(*x, b.fingerprint(), body.fingerprint()),
             1 + b.0.size + body.0.size,
             merge_free(b.free_vars(), &without(body.free_vars().to_vec(), &[*x])),
         ),
         TermNode::Lambda(params, body) => (
-            params.iter().fold(mix(16, params.len() as u64), |h, p| {
-                mix(h, u64::from(p.index()))
-            }) ^ mix(16, body.fingerprint()),
+            fp::lambda(params, body.fingerprint()),
             1 + body.0.size,
             without(body.free_vars().to_vec(), params),
         ),
         TermNode::App(f, args) => (
-            kids_fp(mix(17, f.fingerprint()), args),
+            fp::app(f.fingerprint(), args.iter().map(Term::fingerprint)),
             1 + f.0.size + kids_size(args),
             merge_free(f.free_vars(), &merge_many(args.iter())),
         ),
-        TermNode::FnRef(f) => (mix(18, u64::from(f.index())), 1, Vec::new()),
+        TermNode::FnRef(f) => (fp::fnref(*f), 1, Vec::new()),
+    }
+}
+
+/// What `Term::from_expr(e).fingerprint()` returns, computed by a plain
+/// walk of `e`: no node is interned and no lock is taken. For callers
+/// that need a tree's fingerprint but not the tree as a term (the VM
+/// chunk key, through [`crate::Program::term_fingerprint`]).
+pub fn fingerprint_of(e: &Expr) -> u64 {
+    match e {
+        Expr::Const(c) => fp::constant(c),
+        Expr::Var(x) => fp::var(*x),
+        Expr::Prim(p, args) => fp::prim(*p, args.iter().map(fingerprint_of)),
+        Expr::If(c, t, f) => fp::if_(fingerprint_of(c), fingerprint_of(t), fingerprint_of(f)),
+        Expr::Call(f, args) => fp::call(*f, args.iter().map(fingerprint_of)),
+        Expr::Let(x, b, body) => fp::let_(*x, fingerprint_of(b), fingerprint_of(body)),
+        Expr::Lambda(params, body) => fp::lambda(params, fingerprint_of(body)),
+        Expr::App(f, args) => fp::app(fingerprint_of(f), args.iter().map(fingerprint_of)),
+        Expr::FnRef(f) => fp::fnref(*f),
+    }
+}
+
+/// The fingerprint of each node kind, fed its children's fingerprints.
+/// [`describe`] (interning) and [`fingerprint_of`] (a plain walk) both
+/// combine through these, so the two cannot drift.
+mod fp {
+    use super::{const_bits, fp_str, mix};
+    use crate::ast::Const;
+    use crate::prim::Prim;
+    use crate::symbol::Symbol;
+
+    /// `tag` mixed with the child count, then with each child in order.
+    fn kids(tag: u64, fps: impl ExactSizeIterator<Item = u64>) -> u64 {
+        let len = fps.len() as u64;
+        fps.fold(mix(tag, len), mix)
+    }
+
+    pub(super) fn constant(c: &Const) -> u64 {
+        mix(10, const_bits(c))
+    }
+
+    pub(super) fn var(x: Symbol) -> u64 {
+        mix(11, u64::from(x.index()))
+    }
+
+    pub(super) fn prim(p: Prim, args: impl ExactSizeIterator<Item = u64>) -> u64 {
+        kids(mix(12, p.name().len() as u64 ^ fp_str(p.name())), args)
+    }
+
+    pub(super) fn if_(c: u64, t: u64, f: u64) -> u64 {
+        mix(mix(mix(13, c), t), f)
+    }
+
+    pub(super) fn call(f: Symbol, args: impl ExactSizeIterator<Item = u64>) -> u64 {
+        kids(mix(14, u64::from(f.index())), args)
+    }
+
+    pub(super) fn let_(x: Symbol, bound: u64, body: u64) -> u64 {
+        mix(mix(mix(15, u64::from(x.index())), bound), body)
+    }
+
+    pub(super) fn lambda(params: &[Symbol], body: u64) -> u64 {
+        params.iter().fold(mix(16, params.len() as u64), |h, p| {
+            mix(h, u64::from(p.index()))
+        }) ^ mix(16, body)
+    }
+
+    pub(super) fn app(f: u64, args: impl ExactSizeIterator<Item = u64>) -> u64 {
+        kids(mix(17, f), args)
+    }
+
+    pub(super) fn fnref(f: Symbol) -> u64 {
+        mix(18, u64::from(f.index()))
     }
 }
 

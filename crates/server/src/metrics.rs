@@ -103,12 +103,15 @@ pub struct Metrics {
     pub analysis_hits: AtomicU64,
     /// Analyses computed (offline engine).
     pub analysis_misses: AtomicU64,
-    /// Dependency graphs built (one per distinct parsed program source).
+    /// Dependency graphs built: one per parse-cache miss. That includes
+    /// the residual text an `execute` reads back through the same cache,
+    /// so it counts residual re-parses as well as request programs.
     pub depgraph_analyses: AtomicU64,
     /// Definitions whose closure fingerprint changed relative to the
-    /// last program that defined the same name — i.e. entries the edit
-    /// actually invalidated (defs outside the edit's reachable closure
-    /// don't count, which is the point of dependency fingerprints).
+    /// last request program that defined the same name — i.e. entries the
+    /// edit actually invalidated (defs outside the edit's reachable
+    /// closure don't count, which is the point of dependency
+    /// fingerprints). Residuals read back for `execute` never count.
     pub depgraph_invalidations: AtomicU64,
     /// Requests answered from the disk persistence tier.
     pub disk_hits: AtomicU64,

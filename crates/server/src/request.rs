@@ -539,9 +539,20 @@ impl SpecializeResponse {
     /// construction and residual re-escaping, and a response line becomes
     /// two `memcpy`s plus three small fields (see `RenderedHit::line`,
     /// which is tested byte-identical to [`SpecializeResponse::to_json`]).
+    /// The serve loop also templates responses that carry `exec`, splicing
+    /// each request's own outcome in with [`RenderedHit::line_with_exec`].
     pub fn hit_template(&self) -> Option<RenderedHit> {
+        if self.exec.is_some() {
+            return None;
+        }
+        self.key_template()
+    }
+
+    /// [`SpecializeResponse::hit_template`] without the `exec` check: the
+    /// template of this response's key, which leaves `exec` out.
+    pub(crate) fn key_template(&self) -> Option<RenderedHit> {
         let out = self.outcome.as_ref().ok()?;
-        if self.shed || self.exec.is_some() || !self.diagnostics.is_empty() {
+        if self.shed || !self.diagnostics.is_empty() {
             return None;
         }
         let key = self.key?;
@@ -581,12 +592,33 @@ impl RenderedHit {
         id: Option<&Json>,
         wall_micros: u64,
     ) -> String {
+        self.line_with_exec(disposition, id, wall_micros, None)
+    }
+
+    /// [`RenderedHit::line`] for a response that may carry `exec`, the
+    /// outcome of running the residual on this request's inputs. Its
+    /// object goes between `degradations` and `id`, where sorted keys put
+    /// it; the result is byte-identical to the tree render.
+    pub fn line_with_exec(
+        &self,
+        disposition: CacheDisposition,
+        id: Option<&Json>,
+        wall_micros: u64,
+        exec: Option<&ExecOutcome>,
+    ) -> String {
         use std::fmt::Write as _;
-        let mut out = String::with_capacity(self.degradations.len() + self.tail.len() + 64);
+        let exec = exec.map(|e| e.to_json().render());
+        let exec_len = exec.as_ref().map_or(0, String::len);
+        let mut out =
+            String::with_capacity(self.degradations.len() + self.tail.len() + exec_len + 64);
         out.push_str("{\"cache\":\"");
         out.push_str(disposition.name());
         out.push_str("\",\"degradations\":");
         out.push_str(&self.degradations);
+        if let Some(exec) = &exec {
+            out.push_str(",\"exec\":");
+            out.push_str(exec);
+        }
         if let Some(id) = id {
             out.push_str(",\"id\":");
             out.push_str(&id.render());
@@ -815,6 +847,51 @@ mod tests {
             }
         }
 
+        // An answer that ran the residual keeps its key's template and
+        // splices in its own exec outcome: ok and error values, both
+        // engines, hit and miss, with and without `id`. `hit_template`
+        // itself still declines it; the serve loop asks `key_template`.
+        let vm = |value: Result<&str, &str>, hit: bool| ExecOutcome {
+            value: value.map(str::to_owned).map_err(str::to_owned),
+            engine: ExecEngine::Vm,
+            chunks_compiled: if hit { 0 } else { 2 },
+            chunk_cache_hit: hit,
+            ops_executed: 17,
+            fuel_used: 4,
+        };
+        let ast = |value: Result<&str, &str>| ExecOutcome {
+            value: value.map(str::to_owned).map_err(str::to_owned),
+            engine: ExecEngine::Ast,
+            chunks_compiled: 0,
+            chunk_cache_hit: false,
+            ops_executed: 0,
+            fuel_used: 3,
+        };
+        let execs = [
+            vm(Ok("8"), true),
+            vm(Err("fuel exhausted after 4 \"calls\""), false),
+            ast(Ok("#(1.5 2e15)")),
+            ast(Err("division by zero")),
+        ];
+        for exec in execs {
+            resp.exec = Some(exec);
+            assert!(resp.hit_template().is_none(), "exec is per request");
+            let own = resp.key_template().expect("template-eligible");
+            for disposition in [CacheDisposition::Miss, CacheDisposition::Hit] {
+                resp.disposition = disposition;
+                for (id, wall) in [(Some(Json::str("a\"b")), 5u64), (None, 123456)] {
+                    resp.wall_micros = wall;
+                    let tree = resp.to_json(id.as_ref()).render();
+                    for t in [&template, &own] {
+                        let line =
+                            t.line_with_exec(disposition, id.as_ref(), wall, resp.exec.as_ref());
+                        assert_eq!(line, tree);
+                    }
+                }
+            }
+        }
+        resp.exec = None;
+
         // Per-request payload disqualifies caching entirely. Diagnostics
         // come from the whole program, not the keyed closure, so two
         // programs sharing a key may carry different ones.
@@ -823,9 +900,15 @@ mod tests {
             resp.hit_template().is_none(),
             "diagnostics vary per program"
         );
+        resp.exec = Some(ast(Ok("1")));
+        assert!(resp.key_template().is_none(), "with or without exec");
+        resp.exec = None;
         resp.diagnostics.clear();
         resp.shed = true;
         assert!(resp.hit_template().is_none(), "shed responses vary");
+        resp.exec = Some(ast(Ok("1")));
+        assert!(resp.key_template().is_none(), "shed, with exec");
+        resp.exec = None;
         resp.shed = false;
         resp.key = None;
         assert!(resp.hit_template().is_none(), "keyless responses");

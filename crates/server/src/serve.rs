@@ -173,9 +173,12 @@ pub fn serve(
 /// Session-local cache of pre-rendered response templates, keyed by
 /// cache key. Rendering dominates the warm-hit serve path (a multi-KB
 /// residual re-escaped per response), so repeat answers assemble from a
-/// template instead (see [`SpecializeResponse::hit_template`]). Bounded:
-/// past [`RenderCache::CAP`] keys it starts over — a session cycling
-/// through more hot keys than that is re-rendering either way.
+/// template instead (see [`SpecializeResponse::hit_template`]). An answer
+/// that ran the residual uses its key's template too, with its own `exec`
+/// outcome spliced in; shed answers and answers with diagnostics render
+/// the tree. Bounded: past [`RenderCache::CAP`] keys it starts over — a
+/// session cycling through more hot keys than that is re-rendering either
+/// way.
 struct RenderCache {
     map: HashMap<CacheKey, RenderedHit>,
 }
@@ -192,13 +195,20 @@ impl RenderCache {
     /// Renders `response`'s wire line, through the template cache when
     /// the response is template-eligible.
     fn line(&mut self, response: &SpecializeResponse, id: Option<&Json>) -> String {
+        let exec = response.exec.as_ref();
         if let Some(key) = response.key.filter(|_| response.outcome.is_ok()) {
             if let Some(template) = self.map.get(&key) {
-                if !response.shed && response.exec.is_none() && response.diagnostics.is_empty() {
-                    return template.line(response.disposition, id, response.wall_micros);
+                if !response.shed && response.diagnostics.is_empty() {
+                    return template.line_with_exec(
+                        response.disposition,
+                        id,
+                        response.wall_micros,
+                        exec,
+                    );
                 }
-            } else if let Some(template) = response.hit_template() {
-                let line = template.line(response.disposition, id, response.wall_micros);
+            } else if let Some(template) = response.key_template() {
+                let line =
+                    template.line_with_exec(response.disposition, id, response.wall_micros, exec);
                 if self.map.len() >= RenderCache::CAP {
                     self.map.clear();
                 }
@@ -773,6 +783,30 @@ mod tests {
                 assert_eq!(warned, (has_g, has_g), "{request} -> {line}");
             }
         }
+    }
+
+    #[test]
+    fn templated_execute_answers_carry_their_own_values() {
+        // One cache key, three inputs: the later answers assemble from the
+        // template the first one left, each with its own exec outcome.
+        let line = |id: u64, x: &str| {
+            format!(r#"{{"id": {id}, "program": "{POWER}", "inputs": "_ 3", "execute": ["{x}"]}}"#)
+        };
+        let input = format!("{}\n{}\n{}\n", line(1, "2"), line(2, "3"), line(3, "4"));
+        let (lines, _) = run(&input, 1);
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        let expected = [(1, "8"), (2, "27"), (3, "64")];
+        for (line, (id, value)) in lines.iter().zip(expected) {
+            let v = Json::parse(line).unwrap();
+            assert_eq!(v.get("id").and_then(Json::as_u64), Some(id), "{line}");
+            let exec = v.get("exec").expect("exec object");
+            assert_eq!(
+                exec.get("value").and_then(Json::as_str),
+                Some(value),
+                "{line}"
+            );
+        }
+        assert!(lines[1].contains("\"cache\":\"hit\""), "{}", lines[1]);
     }
 
     #[test]

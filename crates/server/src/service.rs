@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use ppe_analyze::depgraph::DepGraph;
@@ -74,11 +74,11 @@ const MAX_PARSED_PROGRAMS: usize = 128;
 pub struct SpecializeService {
     cache: ResidualCache,
     metrics: Metrics,
-    programs: Mutex<HashMap<String, ParsedProgram>>,
+    programs: Mutex<HashMap<String, Arc<ParsedProgram>>>,
     /// Last observed closure fingerprint per definition name, across
-    /// every program this service has parsed. When a new parse shows a
-    /// different fingerprint for a known name, that definition's cached
-    /// residuals just became unreachable-by-key — counted as
+    /// every source program this service has parsed. When a new source
+    /// shows a different fingerprint for a known name, that definition's
+    /// cached residuals just became unreachable-by-key — counted as
     /// `depgraph_invalidations` so operators can see how much of an edit
     /// actually invalidated (the complement is the incremental win).
     entry_fps: Mutex<HashMap<String, u64>>,
@@ -86,11 +86,18 @@ pub struct SpecializeService {
     persist_error: Option<String>,
 }
 
-/// A parse-cache entry: the program, its dependency graph (call edges +
-/// per-definition closure fingerprints, the program component of every
-/// cache key), and the analyzer's pre-flight warnings (computed once per
-/// distinct source, attached to every response that uses it).
-type ParsedProgram = (Arc<Program>, Arc<DepGraph>, Arc<Vec<Diagnostic>>);
+/// A parse-cache entry: the program and its dependency graph (call edges
+/// and per-definition closure fingerprints, the program component of
+/// every cache key), built on the miss, and the analyzer's pre-flight
+/// warnings, computed on the entry's first use as a request's program
+/// (see [`SpecializeService::preflight`]). Residual text that `execute`
+/// reads back through the same cache never runs the analyzer.
+#[derive(Debug)]
+struct ParsedProgram {
+    program: Arc<Program>,
+    depgraph: DepGraph,
+    warnings: OnceLock<Vec<Diagnostic>>,
+}
 
 impl SpecializeService {
     /// A fresh service with empty caches.
@@ -153,10 +160,13 @@ impl SpecializeService {
                 let report = ppe_analyze::check_source(&req.program_src);
                 (Err(msg), report.diagnostics)
             }
-            Ok((program, depgraph, warnings)) => (
-                engine::resolve(req, program, &depgraph),
-                warnings.as_ref().clone(),
-            ),
+            Ok(parsed) => {
+                let warnings = self.preflight(&parsed).to_vec();
+                (
+                    engine::resolve(req, Arc::clone(&parsed.program), &parsed.depgraph),
+                    warnings,
+                )
+            }
         };
         let mut response = match resolved {
             Err(msg) => SpecializeResponse::error(msg),
@@ -234,12 +244,13 @@ impl SpecializeService {
         // Execution rides *outside* the residual cache: the residual is
         // fetched (or computed) once per distinct specialization above,
         // then each request runs it on its own concrete inputs. The
-        // residual text re-parses through the shared parse cache, and
-        // repeat executions hit the VM's chunk cache below that.
+        // residual text re-parses through the shared parse cache (no
+        // pre-flight: it is the service's own output), and repeat
+        // executions hit the VM's chunk cache below that.
         if let (Ok(out), Some(exec)) = (&response.outcome, &req.execute) {
             response.exec = Some(match self.program(&out.residual) {
-                Ok((residual, _, _)) => {
-                    engine::execute_residual(&residual, exec, &req.config, &self.metrics)
+                Ok(residual) => {
+                    engine::execute_residual(&residual.program, exec, &req.config, &self.metrics)
                 }
                 Err(msg) => {
                     // A residual that fails to re-parse would be an engine
@@ -273,59 +284,62 @@ impl SpecializeService {
     }
 
     /// Parses `src` through the shared parse cache, returning the
-    /// program, its dependency graph, and its pre-flight warnings.
-    fn program(&self, src: &str) -> Result<ParsedProgram, String> {
+    /// program and its dependency graph.
+    fn program(&self, src: &str) -> Result<Arc<ParsedProgram>, String> {
+        if let Some(parsed) = self
+            .programs
+            .lock()
+            .expect("program cache poisoned")
+            .get(src)
         {
-            let cache = self.programs.lock().expect("program cache poisoned");
-            if let Some((program, depgraph, warnings)) = cache.get(src) {
-                return Ok((
-                    Arc::clone(program),
-                    Arc::clone(depgraph),
-                    Arc::clone(warnings),
-                ));
-            }
+            return Ok(Arc::clone(parsed));
         }
         // Parse outside the lock: parsing is cheap but not free, and a
         // slow parse must not serialize unrelated requests. A racing
         // duplicate parse of the same source is harmless (same result).
-        let program = parse_program(src).map_err(|e| e.to_string())?;
-        let program = Arc::new(program);
-        let depgraph = Arc::new(DepGraph::of_program(&program));
+        let program = Arc::new(parse_program(src).map_err(|e| e.to_string())?);
+        let depgraph = DepGraph::of_program(&program);
         self.metrics.depgraph_analyses.fetch_add(1, Relaxed);
-        // Fold the new closure fingerprints into the per-name history:
-        // a changed fingerprint means this edit invalidated that entry
-        // point's cached residuals (names outside the edit's reachable
-        // closure keep their fingerprints and stay warm).
-        {
-            let mut fps = self.entry_fps.lock().expect("entry fps poisoned");
-            for &name in depgraph.names() {
-                let fp = depgraph
-                    .closure_fingerprint(name)
-                    .expect("name comes from the same graph");
-                if let Some(prev) = fps.insert(name.as_str().to_owned(), fp) {
-                    if prev != fp {
-                        self.metrics.depgraph_invalidations.fetch_add(1, Relaxed);
-                    }
-                }
-            }
-        }
-        // A validated program has no analyzer errors; what remains are
-        // warnings (shadowing, unfold-safety, dead code), computed once
-        // here and shared by every request for this source.
-        let warnings = Arc::new(ppe_analyze::check_program(&program));
+        let parsed = Arc::new(ParsedProgram {
+            program,
+            depgraph,
+            warnings: OnceLock::new(),
+        });
         let mut cache = self.programs.lock().expect("program cache poisoned");
         if cache.len() >= MAX_PARSED_PROGRAMS {
             cache.clear();
         }
-        cache.insert(
-            src.to_owned(),
-            (
-                Arc::clone(&program),
-                Arc::clone(&depgraph),
-                Arc::clone(&warnings),
-            ),
-        );
-        Ok((program, depgraph, warnings))
+        cache.insert(src.to_owned(), Arc::clone(&parsed));
+        Ok(parsed)
+    }
+
+    /// The pre-flight for `parsed` as a request's program, run once per
+    /// parse-cache entry, on its first such use: the analyzer's warnings,
+    /// shared by every request for this source.
+    fn preflight<'p>(&self, parsed: &'p ParsedProgram) -> &'p [Diagnostic] {
+        parsed.warnings.get_or_init(|| {
+            // Fold the new closure fingerprints into the per-name history:
+            // a changed fingerprint means this edit invalidated that entry
+            // point's cached residuals (names outside the edit's reachable
+            // closure keep their fingerprints and stay warm).
+            {
+                let mut fps = self.entry_fps.lock().expect("entry fps poisoned");
+                for &name in parsed.depgraph.names() {
+                    let fp = parsed
+                        .depgraph
+                        .closure_fingerprint(name)
+                        .expect("name comes from the same graph");
+                    if let Some(prev) = fps.insert(name.as_str().to_owned(), fp) {
+                        if prev != fp {
+                            self.metrics.depgraph_invalidations.fetch_add(1, Relaxed);
+                        }
+                    }
+                }
+            }
+            // A validated program has no analyzer errors; what remains are
+            // warnings (shadowing, unfold-safety, dead code).
+            ppe_analyze::check_program(&parsed.program)
+        })
     }
 }
 

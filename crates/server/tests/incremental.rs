@@ -16,8 +16,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ppe_server::{
-    CacheDisposition, EngineContext, PersistConfig, PersistMode, ServiceConfig, SpecializeRequest,
-    SpecializeService,
+    CacheDisposition, EngineContext, ExecEngine, ExecuteRequest, PersistConfig, PersistMode,
+    ServiceConfig, SpecializeRequest, SpecializeService,
 };
 
 /// `main` reaches `helper`; `orphan` is unreachable from `main`.
@@ -109,6 +109,30 @@ fn unreachable_edit_hits_memory_and_preserves_the_residual() {
         m.depgraph_invalidations, 1,
         "only `orphan` — the edited definition itself — changed closure \
          fingerprint; `main` and `helper` stayed stable"
+    );
+}
+
+#[test]
+fn executing_an_unedited_program_invalidates_nothing() {
+    // `execute` reads each residual back through the parse cache. The
+    // residual reuses the source's definition names, but it is the
+    // service's own output, not an edit of the program.
+    let service = SpecializeService::new(ServiceConfig::default());
+    let mut ctx = EngineContext::new();
+    let mut req = request(BASE);
+    req.execute = Some(ExecuteRequest {
+        inputs: vec!["2".into()],
+        engine: ExecEngine::Vm,
+    });
+    for _ in 0..3 {
+        let r = service.handle(&req, &mut ctx);
+        assert_eq!(r.exec.expect("executed").value.as_deref(), Ok("8"));
+    }
+    let m = service.metrics().snapshot();
+    assert_eq!(m.depgraph_invalidations, 0, "nothing was edited");
+    assert_eq!(
+        m.depgraph_analyses, 2,
+        "the source and its residual text, each parsed once"
     );
 }
 

@@ -1,13 +1,15 @@
 //! The process-wide chunk cache and VM counters.
 //!
 //! Compiled programs are keyed by two independent 64-bit fingerprints of
-//! the *whole* program: [`Program::fingerprint`] (spelling-stable, and
+//! the *whole* program: [`Program::fingerprint`] (spelling-stable) and
+//! [`Program::term_fingerprint`] (an FNV-1a combination of every
+//! definition's [`Term`](ppe_lang::Term) fingerprint and arity). Both are
 //! memoized on the program, so a parsed program shared through an `Arc`
-//! pays for it once) and an FNV-1a combination of every definition's
-//! hash-consed [`Term`] fingerprint and arity. Editing any definition
-//! changes the key, so a hit always returns chunks compiled from a program
-//! structurally equal to the caller's. Two independent hashes make an
-//! accidental collision in a bounded in-process cache vanishingly unlikely.
+//! pays for them once, and both are plain walks: looking a program up
+//! interns none of its nodes. Editing any definition changes the key, so a
+//! hit always returns chunks compiled from a program structurally equal to
+//! the caller's. Two independent hashes make an accidental collision in a
+//! bounded in-process cache vanishingly unlikely.
 //!
 //! [`CompiledProgram`]s contain only plain data, so the cache is shared
 //! across threads; repeat executions of the same residual — the dominant
@@ -18,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use ppe_lang::{term::Term, Expr, FunDef, Program, Symbol};
+use ppe_lang::{Expr, FunDef, Program, Symbol};
 
 use crate::chunk::CompiledProgram;
 use crate::compile::{self, CompileError};
@@ -86,21 +88,9 @@ fn cache() -> &'static Mutex<ChunkMap> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// The cache key: `(Program::fingerprint, FNV-1a over every definition's
-/// Term fingerprint and arity)`.
+/// The cache key: both memoized whole-program fingerprints.
 fn chunk_key(program: &Program) -> (u64, u64) {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    for d in program.defs() {
-        mix(Term::from_expr(&d.body).fingerprint());
-        mix(d.params.len() as u64);
-    }
-    (program.fingerprint(), h)
+    (program.fingerprint(), program.term_fingerprint())
 }
 
 /// Returns the compiled program cached under `key` (counting a hit in
@@ -154,7 +144,7 @@ pub fn compile_cached(
 const SPEC_MARKER: u64 = 0x5bec_e7a1_57a7_1c00;
 
 /// Compiles a specializer static-eval subtree through the shared chunk
-/// cache, keyed by the subtree's [`Term`] fingerprint.
+/// cache, keyed by the subtree's [`Term`](ppe_lang::Term) fingerprint.
 ///
 /// The subtree is wrapped in a one-definition program whose parameters are
 /// the subtree's free variables in first-occurrence order — the calling
