@@ -60,5 +60,4 @@ pub use prim::{Prim, StdOpClass, ALL_PRIMS, MAX_VECTOR_SIZE};
 pub use program::{FunDef, Program};
 pub use symbol::Symbol;
 pub use term::{interner_stats, InternerStats, Term, TermNode};
-pub use token::Token;
 pub use value::{ClosureData, Value};

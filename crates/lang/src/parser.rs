@@ -19,6 +19,12 @@
 //! operator-position name resolves first to a primitive, then to a top-level
 //! function call, and a value-position name referring to a top-level
 //! function becomes a function reference ([`Expr::FnRef`]).
+//!
+//! Cost: the lexer makes one pass over the source's bytes and yields
+//! `Copy` tokens whose identifiers are slices of the source, so the only
+//! allocations are the token vector and the tree itself. The parser reads
+//! tokens by copy; an identifier costs its one `Symbol::intern` and
+//! nothing more.
 
 use std::collections::HashSet;
 
@@ -51,17 +57,7 @@ use crate::token::{Token, TokenKind};
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let tokens = lex(src)?;
-    let mut p = Parser::new(tokens);
-
-    // Pass 1: collect the names of all defined functions so that forward
-    // references parse as calls.
-    let fn_names = p.scan_define_names()?;
-
-    let mut defs = Vec::new();
-    while !p.at_end() {
-        defs.push(p.parse_define(&fn_names)?);
-    }
+    let defs = parse_defs(src)?;
     if defs.is_empty() {
         return Err(ParseError::new("program has no definitions", 1, 1));
     }
@@ -97,9 +93,10 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn parse_defs(src: &str) -> Result<Vec<FunDef>, ParseError> {
-    let tokens = lex(src)?;
-    let mut p = Parser::new(tokens);
-    let fn_names = p.scan_define_names()?;
+    let mut p = Parser::new(src)?;
+    // Pass 1: collect the names of all defined functions so that forward
+    // references parse as calls.
+    let fn_names = p.scan_define_names();
     let mut defs = Vec::new();
     while !p.at_end() {
         defs.push(p.parse_define(&fn_names)?);
@@ -125,24 +122,25 @@ pub fn parse_defs(src: &str) -> Result<Vec<FunDef>, ParseError> {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
-    let tokens = lex(src)?;
-    let mut p = Parser::new(tokens);
+    let mut p = Parser::new(src)?;
     let no_functions = HashSet::new();
     let mut scope = Scope::new(&no_functions);
     let e = p.parse_expr(&mut scope)?;
-    if !p.at_end() {
-        let (line, col) = p.peek().map_or((0, 0), |t| (t.line, t.col));
+    if let Some(t) = p.peek() {
         return Err(ParseError::new(
             "trailing input after expression",
-            line,
-            col,
+            t.line,
+            t.col,
         ));
     }
     Ok(e)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// The token stream of one source and a cursor into it. The whole source
+/// is lexed first, so a lexical error anywhere wins over a syntax error
+/// before it, and [`Parser::scan_define_names`] can look ahead.
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
@@ -170,21 +168,24 @@ impl<'a> Scope<'a> {
     }
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Parser {
-        Parser { tokens, pos: 0 }
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Result<Parser<'a>, ParseError> {
+        Ok(Parser {
+            tokens: lex(src)?,
+            pos: 0,
+        })
     }
 
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos).copied()
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+    fn next(&mut self) -> Option<Token<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
@@ -243,7 +244,7 @@ impl Parser {
             Some(Token {
                 kind: TokenKind::Ident(s),
                 ..
-            }) => Ok(Symbol::intern(&s)),
+            }) => Ok(Symbol::intern(s)),
             Some(t) => Err(ParseError::new(
                 format!("expected {what}, found `{}`", t.kind),
                 t.line,
@@ -262,23 +263,16 @@ impl Parser {
 
     /// Pre-scan: find `(define (name …` shapes and collect the names,
     /// without consuming input.
-    fn scan_define_names(&mut self) -> Result<HashSet<Symbol>, ParseError> {
+    fn scan_define_names(&self) -> HashSet<Symbol> {
         let mut names = HashSet::new();
-        let toks = &self.tokens;
-        let mut i = 0;
-        while i + 3 < toks.len() {
-            if toks[i].kind == TokenKind::LParen {
-                if let TokenKind::Ident(ref s) = toks[i + 1].kind {
-                    if s == "define" && toks[i + 2].kind == TokenKind::LParen {
-                        if let TokenKind::Ident(ref f) = toks[i + 3].kind {
-                            names.insert(Symbol::intern(f));
-                        }
-                    }
-                }
+        for w in self.tokens.windows(4) {
+            if let [TokenKind::LParen, TokenKind::Ident("define"), TokenKind::LParen, TokenKind::Ident(f)] =
+                [w[0].kind, w[1].kind, w[2].kind, w[3].kind]
+            {
+                names.insert(Symbol::intern(f));
             }
-            i += 1;
         }
-        Ok(names)
+        names
     }
 
     fn parse_define(&mut self, fn_names: &HashSet<Symbol>) -> Result<FunDef, ParseError> {
@@ -297,20 +291,28 @@ impl Parser {
         }
         self.expect_lparen("the function header")?;
         let name = self.expect_ident("a function name")?;
+        let params = self.parse_params("unclosed function header")?;
+        let mut scope = Scope::new(fn_names);
+        scope.locals.extend_from_slice(&params);
+        let body = self.parse_expr(&mut scope)?;
+        self.expect_rparen("the definition")?;
+        Ok(FunDef::new(name, params, body))
+    }
+
+    /// Parameter names up to and including the `)` that closes their
+    /// list; `unclosed` is the message when the input ends first.
+    fn parse_params(&mut self, unclosed: &str) -> Result<Vec<Symbol>, ParseError> {
         let mut params = Vec::new();
         loop {
-            match self.peek() {
+            match self.next() {
                 Some(Token {
                     kind: TokenKind::RParen,
                     ..
-                }) => {
-                    self.next();
-                    break;
-                }
+                }) => return Ok(params),
                 Some(Token {
-                    kind: TokenKind::Ident(_),
+                    kind: TokenKind::Ident(s),
                     ..
-                }) => params.push(self.expect_ident("a parameter")?),
+                }) => params.push(Symbol::intern(s)),
                 Some(t) => {
                     return Err(ParseError::new(
                         format!("expected a parameter or `)`, found `{}`", t.kind),
@@ -320,28 +322,20 @@ impl Parser {
                 }
                 None => {
                     let (l, c) = self.last_pos();
-                    return Err(ParseError::new("unclosed function header", l, c));
+                    return Err(ParseError::new(unclosed, l, c));
                 }
             }
         }
-        let mut scope = Scope::new(fn_names);
-        scope.locals.extend_from_slice(&params);
-        let body = self.parse_expr(&mut scope)?;
-        self.expect_rparen("the definition")?;
-        Ok(FunDef::new(name, params, body))
     }
 
     fn parse_expr(&mut self, scope: &mut Scope<'_>) -> Result<Expr, ParseError> {
-        let tok = match self.next() {
-            Some(t) => t,
-            None => {
-                let (l, c) = self.last_pos();
-                return Err(ParseError::new(
-                    "expected an expression, found end of input",
-                    l,
-                    c,
-                ));
-            }
+        let Some(tok) = self.next() else {
+            let (l, c) = self.last_pos();
+            return Err(ParseError::new(
+                "expected an expression, found end of input",
+                l,
+                c,
+            ));
         };
         match tok.kind {
             TokenKind::Int(n) => Ok(Expr::Const(Const::Int(n))),
@@ -350,7 +344,7 @@ impl Parser {
                 F64::new(x).expect("lexer rejects NaN"),
             ))),
             TokenKind::Ident(name) => {
-                let s = Symbol::intern(&name);
+                let s = Symbol::intern(name);
                 if !scope.is_local(s) && scope.is_function(s) {
                     Ok(Expr::FnRef(s))
                 } else {
@@ -369,12 +363,11 @@ impl Parser {
         line: u32,
         col: u32,
     ) -> Result<Expr, ParseError> {
-        let head = match self.peek() {
-            Some(t) => t.clone(),
-            None => return Err(ParseError::new("unclosed `(`", line, col)),
+        let Some(head) = self.peek() else {
+            return Err(ParseError::new("unclosed `(`", line, col));
         };
-        if let TokenKind::Ident(ref name) = head.kind {
-            match name.as_str() {
+        if let TokenKind::Ident(name) = head.kind {
+            match name {
                 "if" => {
                     self.next();
                     let c = self.parse_expr(scope)?;
@@ -502,33 +495,7 @@ impl Parser {
 
     fn parse_lambda(&mut self, scope: &mut Scope<'_>) -> Result<Expr, ParseError> {
         self.expect_lparen("the `lambda` parameter list")?;
-        let mut params = Vec::new();
-        loop {
-            match self.peek() {
-                Some(Token {
-                    kind: TokenKind::RParen,
-                    ..
-                }) => {
-                    self.next();
-                    break;
-                }
-                Some(Token {
-                    kind: TokenKind::Ident(_),
-                    ..
-                }) => params.push(self.expect_ident("a parameter")?),
-                Some(t) => {
-                    return Err(ParseError::new(
-                        format!("expected a parameter or `)`, found `{}`", t.kind),
-                        t.line,
-                        t.col,
-                    ))
-                }
-                None => {
-                    let (l, c) = self.last_pos();
-                    return Err(ParseError::new("unclosed `lambda` parameter list", l, c));
-                }
-            }
-        }
+        let params = self.parse_params("unclosed `lambda` parameter list")?;
         let depth = scope.locals.len();
         scope.locals.extend_from_slice(&params);
         let body = self.parse_expr(scope)?;

@@ -10,7 +10,7 @@
 //! certificate*: [`check_certificate`] re-derives, node by node and using
 //! only the recorded child values, what a congruent annotation must say,
 //! and reports every disagreement as a structured
-//! [`Diagnostic`](ppe_lang::diag::Diagnostic).
+//! [`Diagnostic`].
 //!
 //! The congruence conditions checked (each with a stable code):
 //!

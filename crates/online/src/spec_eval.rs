@@ -8,7 +8,7 @@
 //! workloads (the paper's Section 6 examples, the E8 bench) re-walk the
 //! same source subterms once per unfolding, so the same static arithmetic
 //! is re-derived thousands of times. The shortcut lowers such a subterm
-//! to a `ppe-vm` chunk once — keyed by its hash-consed [`Term`]
+//! to a `ppe-vm` chunk once — keyed by its [`Term`](ppe_lang::Term)
 //! fingerprint — and replays it on concrete [`Value`]s thereafter.
 //!
 //! # The lowering contract (what qualifies as "fully static")
@@ -53,7 +53,8 @@ use std::sync::Arc;
 
 use ppe_core::facets::{ContentsVal, ElemVal};
 use ppe_core::{FacetSet, PeVal, ProductVal};
-use ppe_lang::{term::Term, Const, Expr, Prim, Symbol, Value};
+use ppe_lang::term::fingerprint_of;
+use ppe_lang::{Const, Expr, Prim, Symbol, Value};
 
 /// An engine-pluggable evaluator for eligible static subtrees.
 ///
@@ -63,7 +64,7 @@ use ppe_lang::{term::Term, Const, Expr, Prim, Symbol, Value};
 pub trait SpecEvalBackend: fmt::Debug + Send + Sync {
     /// Evaluates `body` with `params` bound positionally to `args`.
     ///
-    /// `key` is the hash-consed fingerprint of `body` (see
+    /// `key` is the term fingerprint of `body` (see
     /// [`StaticSubtree::key`]); implementations use it to cache the
     /// lowered form. Returns `None` on *any* failure — compile trouble, a
     /// runtime error, an internal limit — in which case the engine takes
@@ -164,9 +165,9 @@ pub struct StaticSubtree {
     /// Free variables in first-occurrence order — the parameters of the
     /// lowered chunk.
     pub params: Vec<Symbol>,
-    /// [`Term`] fingerprint of the subtree, computed on the first backend
-    /// call: most eligible nodes never fire (a free variable is dynamic),
-    /// and hash-consing a subtree costs more than the rest of its facts.
+    /// [`Term`](ppe_lang::Term) fingerprint of the subtree, computed on
+    /// the first backend call: most eligible nodes never fire (a free
+    /// variable is dynamic).
     key: OnceCell<u64>,
     /// Node count: exactly the ticks the tree walk would spend on it.
     pub size: u64,
@@ -254,9 +255,40 @@ impl StaticNode for Expr {
 }
 
 /// Per-run memo of [`StaticSubtree`] facts, keyed by node address.
+///
+/// For an [`Expr`] node the memo is filled bottom-up: the first probe of a
+/// node folds the facts of its whole eligible region — the `Prim`/`Let`
+/// nodes reachable through `Const`, `Var`, `Let` and non-creator `Prim`
+/// nodes — child by child, and records every `Prim`/`Let` node of it. The
+/// walk then finds each nested node's facts where it looks for them, and
+/// a later fold stops at any node already recorded, so every node is
+/// analysed once per run and nesting costs linear time, not quadratic.
 #[derive(Debug, Default)]
 pub(crate) struct SubtreeMemo {
+    /// `Some` for a node whose subtree keeps to the eligibility grammar,
+    /// whether or not it clears the size thresholds (see
+    /// [`StaticSubtree::qualifies`]); `None` for one that breaks it.
     map: HashMap<usize, Option<Rc<StaticSubtree>>, BuildAddrHasher>,
+}
+
+/// A finished child in [`SubtreeMemo::fill`].
+enum Child {
+    /// A constant (`None`) or a variable.
+    Leaf(Option<Symbol>),
+    /// A `Prim` or `Let` that keeps to the grammar.
+    Node(Rc<StaticSubtree>),
+    /// A subtree that breaks the grammar.
+    Ineligible,
+}
+
+impl Child {
+    fn of(facts: Option<Rc<StaticSubtree>>) -> Child {
+        facts.map_or(Child::Ineligible, Child::Node)
+    }
+}
+
+fn addr<N: ?Sized>(node: &N) -> usize {
+    node as *const N as *const () as usize
 }
 
 impl SubtreeMemo {
@@ -267,14 +299,119 @@ impl SubtreeMemo {
 
     /// The eligibility facts for `node`, computed on first sight.
     pub fn info<N: StaticNode + ?Sized>(&mut self, node: &N) -> Option<Rc<StaticSubtree>> {
-        let at = node as *const N as *const () as usize;
-        if let Some(found) = self.map.get(&at) {
-            return found.clone();
-        }
-        let computed = node.subtree().map(Rc::new);
-        self.map.insert(at, computed.clone());
-        computed
+        let at = addr(node);
+        let facts = match self.map.get(&at) {
+            Some(found) => found.clone(),
+            None => match node.as_expr() {
+                Some(e) => self.fill(e),
+                None => {
+                    let computed = node.subtree().map(Rc::new);
+                    self.map.insert(at, computed.clone());
+                    computed
+                }
+            },
+        };
+        facts.filter(|f| f.qualifies())
     }
+
+    /// Folds the facts of `root`'s eligible region bottom-up (post-order,
+    /// children left to right), recording every `Prim`/`Let` node of it
+    /// that the memo has not seen; returns `root`'s entry.
+    fn fill(&mut self, root: &Expr) -> Option<Rc<StaticSubtree>> {
+        enum Step<'e> {
+            Visit(&'e Expr),
+            Finish(&'e Expr),
+        }
+        let mut stack = vec![Step::Visit(root)];
+        let mut children: Vec<Child> = Vec::new();
+        while let Some(step) = stack.pop() {
+            match step {
+                Step::Visit(e) => match e {
+                    Expr::Const(_) => children.push(Child::Leaf(None)),
+                    Expr::Var(x) => children.push(Child::Leaf(Some(*x))),
+                    // Vector creators are excluded: their defined results
+                    // are not constants, so the walk keeps them residual
+                    // while the VM would happily compute past them.
+                    Expr::Prim(Prim::MkVec | Prim::UpdVec, _) => {
+                        self.map.insert(addr(e), None);
+                        children.push(Child::Ineligible);
+                    }
+                    Expr::Prim(_, args) => match self.map.get(&addr(e)) {
+                        Some(found) => children.push(Child::of(found.clone())),
+                        None => {
+                            stack.push(Step::Finish(e));
+                            stack.extend(args.iter().rev().map(Step::Visit));
+                        }
+                    },
+                    Expr::Let(_, bound, body) => match self.map.get(&addr(e)) {
+                        Some(found) => children.push(Child::of(found.clone())),
+                        None => {
+                            stack.push(Step::Finish(e));
+                            stack.push(Step::Visit(body));
+                            stack.push(Step::Visit(bound));
+                        }
+                    },
+                    _ => children.push(Child::Ineligible),
+                },
+                Step::Finish(e) => {
+                    let arity = match e {
+                        Expr::Prim(_, args) => args.len(),
+                        _ => 2,
+                    };
+                    let own = children.split_off(children.len() - arity);
+                    let facts = combine(e, &own).map(Rc::new);
+                    self.map.insert(addr(e), facts.clone());
+                    children.push(Child::of(facts));
+                }
+            }
+        }
+        match children.pop() {
+            Some(Child::Node(facts)) => Some(facts),
+            _ => None,
+        }
+    }
+}
+
+/// The facts of a `Prim` or `Let` node `e` from its children's, in
+/// order; `None` if any child breaks the grammar. Parameters are the
+/// children's in first-occurrence order, less a `let`'s binder in its
+/// body, which is the order [`Expr::free_vars`] visits them in.
+fn combine(e: &Expr, children: &[Child]) -> Option<StaticSubtree> {
+    let binder = match e {
+        Expr::Let(x, _, _) => Some(*x),
+        _ => None,
+    };
+    let mut size = 1u64;
+    let mut n_prims = u64::from(matches!(e, Expr::Prim(..)));
+    let mut params = Vec::new();
+    for (i, child) in children.iter().enumerate() {
+        let vars: &[Symbol] = match child {
+            Child::Leaf(x) => {
+                size += 1;
+                x.as_slice()
+            }
+            Child::Node(f) => {
+                size += f.size;
+                n_prims += f.n_prims;
+                &f.params
+            }
+            Child::Ineligible => return None,
+        };
+        // A `let`'s second child is its body, where the binder is bound.
+        let bound = if i == 1 { binder } else { None };
+        for &v in vars {
+            if Some(v) != bound && !params.contains(&v) {
+                params.push(v);
+            }
+        }
+    }
+    Some(StaticSubtree {
+        body: None,
+        params,
+        key: OnceCell::new(),
+        size,
+        n_prims,
+    })
 }
 
 /// Checks the eligibility grammar and collects the subtree facts.
@@ -320,10 +457,17 @@ pub fn analyze(e: &Expr) -> Option<StaticSubtree> {
 }
 
 impl StaticSubtree {
-    /// The backend's cache key: the [`Term`] fingerprint of `body`, the
-    /// subtree these facts describe.
+    /// The backend's cache key: the [`Term`](ppe_lang::Term) fingerprint
+    /// of `body`, the subtree these facts describe, by the plain walk
+    /// [`fingerprint_of`], which interns nothing and takes no lock.
     pub fn key(&self, body: &Expr) -> u64 {
-        *self.key.get_or_init(|| Term::from_expr(body).fingerprint())
+        *self.key.get_or_init(|| fingerprint_of(body))
+    }
+
+    /// Whether the subtree is worth shipping to the backend: it applies
+    /// a primitive and reaches [`MIN_SUBTREE_SIZE`].
+    fn qualifies(&self) -> bool {
+        self.n_prims > 0 && self.size >= MIN_SUBTREE_SIZE
     }
 }
 
@@ -403,7 +547,7 @@ mod tests {
     use ppe_core::facets::ContentsFacet;
     use ppe_core::{AbsVal, FacetSet};
     use ppe_lang::parse_program;
-    use ppe_lang::Const;
+    use ppe_lang::{Const, Term};
 
     fn body_of(src: &str) -> Expr {
         parse_program(src).unwrap().main().body.clone()
@@ -450,6 +594,86 @@ mod tests {
         let e = body_of("(define (f x) (let ((y (+ x 1))) (* y y)))");
         let info = SubtreeMemo::new().info(&e).expect("eligible");
         assert_eq!(info.params, vec![Symbol::intern("x")]);
+    }
+
+    /// Every `Prim`/`Let` node of `e`, parents before children: the order
+    /// the walk probes them in.
+    fn roots<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+        if e.may_root() {
+            out.push(e);
+        }
+        match e {
+            Expr::Const(_) | Expr::Var(_) | Expr::FnRef(_) => {}
+            Expr::Prim(_, args) | Expr::Call(_, args) => args.iter().for_each(|a| roots(a, out)),
+            Expr::If(c, t, f) => [c, t, f].into_iter().for_each(|x| roots(x, out)),
+            Expr::Let(_, b, body) => [b, body].into_iter().for_each(|x| roots(x, out)),
+            Expr::Lambda(_, body) => roots(body, out),
+            Expr::App(f, args) => {
+                roots(f, out);
+                args.iter().for_each(|a| roots(a, out));
+            }
+        }
+    }
+
+    /// The memo's facts for every node of `e` against `analyze` on each
+    /// node alone.
+    fn check_against_analyze(e: &Expr) {
+        let mut nodes = Vec::new();
+        roots(e, &mut nodes);
+        let mut memo = SubtreeMemo::new();
+        for node in nodes {
+            match (memo.info(node), analyze(node)) {
+                (None, None) => {}
+                (Some(got), Some(want)) => assert_eq!(
+                    (&got.params, got.size, got.n_prims),
+                    (&want.params, want.size, want.n_prims)
+                ),
+                (got, want) => panic!("memo {got:?} vs analyze {want:?} at {node:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn bottom_up_memo_agrees_with_analyze_on_every_node() {
+        for src in [
+            "(define (f x y) (+ (* x 2) (let ((t (- y 1))) (* t t))))",
+            "(define (f x y) (let ((x (+ x y))) (* x y)))",
+            "(define (f x y) (let ((a 1)) (let ((b a)) (+ b (- y x)))))",
+            "(define (f x) (+ (if (< x 0) (* x x) (- x 1)) (* 2 x)))",
+            "(define (f v i) (+ (vref v i) (vsize (mkvec (+ i 1)))))",
+            "(define (f x) (let ((y 1)) y))",
+            "(define (f x) (neg (neg x)))",
+            "(define (f g x) (+ (g (* x 2)) (let ((h (lambda (z) (+ z x)))) (* x 3))))",
+            "(define (f x) (+ (f (+ x 1)) (* (+ x 2) (- x 3))))",
+        ] {
+            check_against_analyze(&body_of(src));
+        }
+    }
+
+    #[test]
+    fn one_probe_records_the_whole_region() {
+        let depth = 2000;
+        let src = format!(
+            "(define (f x) {}x{})",
+            "(+ 1 ".repeat(depth),
+            ")".repeat(depth)
+        );
+        let e = body_of(&src);
+        let mut memo = SubtreeMemo::new();
+        let info = memo.info(&e).expect("eligible");
+        assert_eq!(
+            (info.size, info.n_prims),
+            (2 * depth as u64 + 1, depth as u64)
+        );
+        assert_eq!(info.params, vec![Symbol::intern("x")]);
+        assert_eq!(memo.map.len(), depth);
+        // The walk's probes of the nested nodes are all hits.
+        let mut node = &e;
+        while let Expr::Prim(_, args) = node {
+            assert!(memo.info(node).is_some());
+            node = &args[1];
+        }
+        assert_eq!(memo.map.len(), depth);
     }
 
     #[test]

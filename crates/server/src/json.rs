@@ -49,6 +49,7 @@ impl Json {
     /// A human-readable message with a byte offset on malformed input.
     pub fn parse(src: &str) -> Result<Json, String> {
         let mut p = Parser {
+            src,
             bytes: src.as_bytes(),
             pos: 0,
         };
@@ -204,6 +205,8 @@ fn write_json_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    src: &'a str,
+    /// `src` as bytes: the scanner decides on single bytes.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -270,7 +273,7 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are utf-8");
+        let text = &self.src[start..self.pos];
         let n: f64 = text
             .parse()
             .map_err(|_| format!("bad number `{text}` at byte {start}"))?;
@@ -280,31 +283,24 @@ impl<'a> Parser<'a> {
         Ok(Json::Num(n))
     }
 
+    /// Reads a string literal. Every byte that ends a run of plain text
+    /// (a quote, a backslash, a control byte) is ASCII, so runs start and
+    /// end on UTF-8 boundaries of `src` and are copied as `&str` slices
+    /// without re-validation. A string with no escape is copied once at
+    /// its exact size; one with escapes gets one buffer the size of its
+    /// encoded text, which no escape decodes to more bytes than it
+    /// spells.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut start = self.pos;
+        self.scan_run()?;
+        if self.bytes[self.pos] == b'"' {
+            self.pos += 1;
+            return Ok(self.src[start..self.pos - 1].to_owned());
+        }
+        let mut out = String::with_capacity(self.encoded_len(start));
         loop {
-            // Copy the maximal run free of quotes, escapes, and control
-            // bytes in one shot rather than char-by-char. The input came
-            // from a `&str` and every byte that ends a run is ASCII, so
-            // runs begin and end on UTF-8 boundaries; the `from_utf8` is
-            // a (cheap, vectorized) re-check, not a decode.
-            let start = self.pos;
-            loop {
-                match self.bytes.get(self.pos) {
-                    None => return Err("unterminated string".to_owned()),
-                    Some(&b'"') | Some(&b'\\') => break,
-                    Some(&b) if b < 0x20 => {
-                        return Err("raw control character in string".to_owned())
-                    }
-                    Some(_) => self.pos += 1,
-                }
-            }
-            if self.pos > start {
-                let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid utf-8".to_owned())?;
-                out.push_str(run);
-            }
+            out.push_str(&self.src[start..self.pos]);
             let b = self.bytes[self.pos];
             self.pos += 1;
             match b {
@@ -350,7 +346,35 @@ impl<'a> Parser<'a> {
                 // and control bytes error out inside it.
                 _ => unreachable!("run scan stops on quote or backslash"),
             }
+            start = self.pos;
+            self.scan_run()?;
         }
+    }
+
+    /// Advances over plain string text, to the next `"` or `\`.
+    fn scan_run(&mut self) -> Result<(), String> {
+        loop {
+            match self.bytes.get(self.pos) {
+                None => return Err("unterminated string".to_owned()),
+                Some(&b'"') | Some(&b'\\') => return Ok(()),
+                Some(&b) if b < 0x20 => return Err("raw control character in string".to_owned()),
+                Some(_) => self.pos += 1,
+            }
+        }
+    }
+
+    /// Encoded bytes from `from` to the closing quote of the string being
+    /// read, or to the end of input: a bound on its decoded length.
+    fn encoded_len(&self, from: usize) -> usize {
+        let mut i = from;
+        while let Some(&b) = self.bytes.get(i) {
+            match b {
+                b'"' => break,
+                b'\\' => i += 2,
+                _ => i += 1,
+            }
+        }
+        i.min(self.bytes.len()) - from
     }
 
     fn hex4(&mut self) -> Result<u32, String> {

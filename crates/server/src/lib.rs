@@ -10,7 +10,7 @@
 //!   [`Metrics`].
 //! - [`run_batch`] — a work-stealing batch driver over a fixed pool of
 //!   big-stack worker threads; responses come back in request order.
-//! - [`serve`] — a JSON-lines request/response loop (one line in, one line
+//! - [`serve()`] — a JSON-lines request/response loop (one line in, one line
 //!   out, in order) for driving the service from another process.
 //! - [`NetServer`] — the TCP front-end: the same line protocol per
 //!   connection, with bounded concurrency, deadline-clamping/load-shedding

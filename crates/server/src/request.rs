@@ -191,11 +191,19 @@ impl SpecializeRequest {
     /// A request against `program_src` with every default: online engine,
     /// all facets, default policy, no optimizer.
     pub fn new(program_src: impl Into<String>, inputs: Vec<String>) -> SpecializeRequest {
+        SpecializeRequest::with_facets(program_src, inputs, all_facet_names())
+    }
+
+    fn with_facets(
+        program_src: impl Into<String>,
+        inputs: Vec<String>,
+        facets: Vec<String>,
+    ) -> SpecializeRequest {
         SpecializeRequest {
             program_src: Arc::new(program_src.into()),
             function: None,
             inputs,
-            facets: ALL_FACETS.iter().map(|s| s.to_string()).collect(),
+            facets,
             engine: Engine::Online,
             optimize: false,
             config: PeConfig::default(),
@@ -226,7 +234,7 @@ impl SpecializeRequest {
             .get("program")
             .and_then(Json::as_str)
             .ok_or("request needs a `program` string")?;
-        let mut req = SpecializeRequest::new(program, Vec::new());
+        let mut req = SpecializeRequest::with_facets(program, Vec::new(), Vec::new());
         req.inputs = match v.get("inputs") {
             None => Vec::new(),
             Some(Json::Str(s)) => s.split_whitespace().map(str::to_owned).collect(),
@@ -246,17 +254,19 @@ impl SpecializeRequest {
         if let Some(e) = v.get("engine") {
             req.engine = Engine::parse(e.as_str().ok_or("`engine` must be a string")?)?;
         }
-        if let Some(fs) = v.get("facets") {
-            let xs = fs.as_array().ok_or("`facets` must be an array")?;
-            req.facets = xs
+        req.facets = match v.get("facets") {
+            None => all_facet_names(),
+            Some(fs) => fs
+                .as_array()
+                .ok_or("`facets` must be an array")?
                 .iter()
                 .map(|x| {
                     x.as_str()
                         .map(str::to_owned)
                         .ok_or_else(|| "`facets` elements must be strings".to_owned())
                 })
-                .collect::<Result<_, _>>()?;
-        }
+                .collect::<Result<_, _>>()?,
+        };
         if let Some(o) = v.get("optimize") {
             req.optimize = o.as_bool().ok_or("`optimize` must be a boolean")?;
         }
@@ -338,6 +348,11 @@ impl SpecializeRequest {
         }
         Ok(req)
     }
+}
+
+/// Every facet, in [`ALL_FACETS`] order: a request's default.
+fn all_facet_names() -> Vec<String> {
+    ALL_FACETS.iter().map(|s| s.to_string()).collect()
 }
 
 /// How the cache answered.

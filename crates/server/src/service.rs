@@ -359,7 +359,7 @@ fn merge_event(events: &mut Vec<DegradationEvent>, event: DegradationEvent) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::Engine;
+    use crate::request::{Engine, SpecEngine};
     use ppe_online::ExhaustionPolicy;
 
     const POWER: &str = "(define (power x n) (if (= n 0) 1 (* x (power x (- n 1)))))";
@@ -645,5 +645,35 @@ mod tests {
         assert!(r.outcome.is_err());
         assert!(r.key.is_some());
         assert_eq!(service.metrics().snapshot().errors, 1);
+    }
+
+    /// Deeply nested source syntax ends in the recursion guard's
+    /// structured error on both spec engines. On `vm` the shortcut's
+    /// eligibility memo fills bottom-up, so the nested nodes cost one
+    /// analysis each before the walk reaches the guard.
+    #[test]
+    fn deep_nesting_fails_alike_on_both_spec_engines() {
+        let depth = 20_000;
+        let src = format!(
+            "(define (f x) {}x{})",
+            "(+ 1 ".repeat(depth),
+            ")".repeat(depth)
+        );
+        let errors: Vec<String> = [SpecEngine::Vm, SpecEngine::Ast]
+            .into_iter()
+            .map(|engine| {
+                let service = SpecializeService::new(ServiceConfig::default());
+                let mut req = SpecializeRequest::new(src.clone(), vec!["_".into()]);
+                req.spec_engine = engine;
+                let r = service.handle(&req, &mut EngineContext::new());
+                r.outcome.expect_err("the recursion guard trips")
+            })
+            .collect();
+        assert_eq!(errors[0], errors[1]);
+        assert!(
+            errors[0].contains("recursion depth exceeded 8192"),
+            "{}",
+            errors[0]
+        );
     }
 }
