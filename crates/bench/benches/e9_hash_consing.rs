@@ -79,8 +79,9 @@ fn bench_e9(c: &mut Criterion) {
             b.iter(|| black_box(black_box(&ta) == black_box(&tb)));
         });
 
-        // The optimizer runs over interned terms: the post-specialization
-        // cleanup pass every server/CLI residual goes through.
+        // The tree optimizer on the same 2^d-node program: the cleanup
+        // pass an optimized server/CLI residual goes through. It rewrites
+        // the tree in place and interns nothing.
         let program = self_similar_program(depth, 7);
         group.bench_with_input(BenchmarkId::new("optimize", depth), &depth, |b, _| {
             b.iter(|| black_box(optimize_program(black_box(&program), OptLevel::Safe)));

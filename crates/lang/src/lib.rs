@@ -51,7 +51,7 @@ pub use error::{EvalError, ParseError};
 pub use eval::{Evaluator, DEFAULT_FUEL, DEFAULT_MAX_DEPTH, DEFAULT_MAX_EXPR_DEPTH};
 pub use lazy::LazyEvaluator;
 pub use opt::{
-    count_uses, is_droppable, is_droppable_term, optimize_expr, optimize_program, optimize_term,
+    count_uses, is_droppable, optimize_expr, optimize_program, optimize_residual,
     prune_unused_params, OptLevel,
 };
 pub use parser::{parse_defs, parse_expr, parse_program};

@@ -5,6 +5,18 @@
 //! branches that turned out identical. This module provides a small,
 //! semantics-preserving optimizer over [`Expr`]/[`Program`].
 //!
+//! The passes rewrite the expression tree in place. One pass walks a body
+//! bottom-up and applies four rules, each of which shrinks the tree: a
+//! boolean test folds; identical branches collapse (keeping a test that
+//! cannot be dropped as `(let ((_cond test)) branch)`); an unused `let` of
+//! a droppable expression goes away; and a `let` bound to a constant,
+//! variable or function reference is substituted into its body. Because
+//! every rule shrinks the tree, "a rule fired" is exactly "the tree
+//! changed", and the loop of at most eight passes stops at the first pass
+//! that fires none. Cost: each binder-use test and each substitution walks
+//! its `let` body once, and each identical-branch test compares two trees
+//! in time bounded by the smaller branch.
+//!
 //! Strictness makes dead-code elimination delicate: a bound expression may
 //! diverge or error, and dropping it would change behaviour. The default
 //! [`OptLevel::Safe`] therefore only drops syntactically total expressions
@@ -14,11 +26,12 @@
 //! (overflow, type errors) of dead code, a trade-off real compilers make;
 //! it never touches division, vector operations, or calls.
 
-use crate::ast::Expr;
+use std::collections::{HashMap, HashSet};
+
+use crate::ast::{Const, Expr};
 use crate::prim::Prim;
-use crate::program::Program;
+use crate::program::{FunDef, Program};
 use crate::symbol::Symbol;
-use crate::term::{Term, TermNode};
 
 /// How aggressively dead code may be removed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -30,6 +43,9 @@ pub enum OptLevel {
     /// (forgets error outcomes of dead code; see the module docs).
     PureArith,
 }
+
+/// Passes run per definition body before giving up on a fixed point.
+const MAX_PASSES: usize = 8;
 
 /// Applies the cleanup passes to every definition of a program until a
 /// fixed point (bounded), returning the optimized program.
@@ -45,136 +61,200 @@ pub enum OptLevel {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn optimize_program(program: &Program, level: OptLevel) -> Program {
-    let defs = program
-        .defs()
-        .iter()
-        .map(|d| {
-            // The passes run over interned terms: the fixpoint test is a
-            // pointer comparison, binder-use counts come from each node's
-            // cached occurrence data, and unchanged subtrees are reused
-            // rather than re-allocated.
-            let mut body = Term::from_expr(&d.body);
-            for _ in 0..8 {
-                let next = optimize_term(&body, level);
-                if next == body {
-                    break;
-                }
-                body = next;
+    let mut defs = program.defs().to_vec();
+    optimize_defs(&mut defs, level);
+    rebuild(defs)
+}
+
+/// [`prune_unused_params`] after [`optimize_program`], on a program the
+/// caller gives up: both rewrite its definitions in place, and the result
+/// is built once. This is the cleanup a residual gets when a request asks
+/// for `"optimize"`.
+///
+/// # Examples
+///
+/// ```
+/// use ppe_lang::{optimize_residual, parse_program, pretty_program, OptLevel};
+///
+/// let p = parse_program(
+///     "(define (main x) (g x 1)) (define (g x k) (let ((dead x)) (+ k 1)))",
+/// )?;
+/// let o = optimize_residual(p, OptLevel::Safe);
+/// assert_eq!(pretty_program(&o), "(define (main) (g 1))\n\n(define (g k) (+ k 1))\n");
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn optimize_residual(program: Program, level: OptLevel) -> Program {
+    let mut defs = program.into_defs();
+    optimize_defs(&mut defs, level);
+    prune_defs(&mut defs, level);
+    rebuild(defs)
+}
+
+fn optimize_defs(defs: &mut [FunDef], level: OptLevel) {
+    for d in defs {
+        for _ in 0..MAX_PASSES {
+            if !pass(&mut d.body, level) {
+                break;
             }
-            crate::program::FunDef::new(d.name, d.params.clone(), body.to_expr())
-        })
-        .collect();
-    // Optimization rewrites bodies only, so the def list always rebuilds;
-    // if that invariant ever breaks, returning the source unoptimized is
-    // strictly safer than aborting.
-    Program::new(defs).unwrap_or_else(|_| program.clone())
+        }
+    }
+}
+
+/// Rewraps definitions taken from a [`Program`]. The passes and the pruning
+/// rewrite bodies and parameter lists, never names, so this cannot fail.
+fn rebuild(defs: Vec<FunDef>) -> Program {
+    Program::new(defs).expect("cleanup keeps every definition's name")
 }
 
 /// One bottom-up cleanup pass over an expression.
 ///
-/// Convenience wrapper over [`optimize_term`] for tree-shaped callers; the
-/// pipeline-facing entry point is [`optimize_program`].
+/// Convenience wrapper for tree-shaped callers; the pipeline-facing entry
+/// points are [`optimize_program`] and [`optimize_residual`].
 pub fn optimize_expr(e: &Expr, level: OptLevel) -> Expr {
-    optimize_term(&Term::from_expr(e), level).to_expr()
+    let mut e = e.clone();
+    pass(&mut e, level);
+    e
 }
 
-/// One bottom-up cleanup pass over an interned term.
-pub fn optimize_term(e: &Term, level: OptLevel) -> Term {
-    /// Rebuilds a node only when some child actually changed, keeping the
-    /// canonical pointer (and the fixpoint test O(1)) otherwise.
-    fn map_args(args: &[Term], level: OptLevel) -> (Vec<Term>, bool) {
-        let mut changed = false;
-        let out = args
-            .iter()
-            .map(|a| {
-                let o = optimize_term(a, level);
-                changed |= o != *a;
-                o
-            })
-            .collect();
-        (out, changed)
-    }
-    match e.node() {
-        TermNode::Const(_) | TermNode::Var(_) | TermNode::FnRef(_) => e.clone(),
-        TermNode::Prim(p, args) => {
-            let (args, changed) = map_args(args, level);
-            if changed {
-                Term::prim(*p, args)
-            } else {
-                e.clone()
-            }
-        }
-        TermNode::Call(f, args) => {
-            let (args, changed) = map_args(args, level);
-            if changed {
-                Term::call(*f, args)
-            } else {
-                e.clone()
-            }
-        }
-        TermNode::App(f, args) => {
-            let f = optimize_term(f, level);
-            let (args, _) = map_args(args, level);
-            Term::app(f, args)
-        }
-        TermNode::Lambda(params, body) => {
-            let opt = optimize_term(body, level);
-            if opt == *body {
-                e.clone()
-            } else {
-                Term::lambda(params.clone(), opt)
-            }
-        }
-        TermNode::If(c, t, f) => {
-            let c = optimize_term(c, level);
-            let t = optimize_term(t, level);
-            let f = optimize_term(f, level);
+/// One bottom-up cleanup pass over `e`, in place. Returns whether any rule
+/// fired, which (every rule shrinking the tree) is whether `e` changed.
+fn pass(e: &mut Expr, level: OptLevel) -> bool {
+    match e {
+        Expr::Const(_) | Expr::Var(_) | Expr::FnRef(_) => false,
+        Expr::Prim(_, args) | Expr::Call(_, args) => pass_all(args, level),
+        Expr::App(f, args) => pass(f, level) | pass_all(args, level),
+        Expr::Lambda(_, body) => pass(body, level),
+        Expr::If(c, t, f) => {
+            let fired = pass(c, level) | pass(t, level) | pass(f, level);
             // Constant tests fold.
-            if let TermNode::Const(cc) = c.node() {
-                if let Some(b) = cc.as_bool() {
-                    return if b { t } else { f };
-                }
+            if let Expr::Const(Const::Bool(b)) = **c {
+                *e = take(if b { t } else { f });
+                return true;
             }
-            // Identical branches collapse (a pointer comparison on
-            // interned terms); the test is kept (sequenced) unless it is
-            // droppable.
-            if t == f {
-                return if is_droppable_term(&c, level) {
-                    t
-                } else {
-                    // A binder name not free in the branch (so nothing is
-                    // accidentally shadowed).
-                    let mut name = Symbol::intern("_cond");
-                    let mut n = 0;
-                    while t.has_free(name) {
-                        n += 1;
-                        name = Symbol::intern(&format!("_cond{n}"));
-                    }
-                    Term::let_(name, c, t)
-                };
+            // Identical branches collapse; the test is kept (sequenced)
+            // unless it is droppable.
+            if t != f {
+                return fired;
             }
-            Term::if_(c, t, f)
+            *e = if is_droppable(c, level) {
+                take(t)
+            } else {
+                let name = cond_binder(t);
+                Expr::Let(name, Box::new(take(c)), Box::new(take(t)))
+            };
+            true
         }
-        TermNode::Let(x, b, body) => {
-            let b = optimize_term(b, level);
-            let body = optimize_term(body, level);
-            // Unused binding of a droppable expression: delete. The use
-            // count is the node's cached occurrence datum, not a
-            // traversal.
-            if !body.has_free(*x) && is_droppable_term(&b, level) {
-                return body;
+        Expr::Let(x, b, body) => {
+            let fired = pass(b, level) | pass(body, level);
+            let x = *x;
+            // Unused binding of a droppable expression: delete.
+            if is_droppable(b, level) && count_uses(body, x) == 0 {
+                *e = take(body);
+                return true;
             }
-            // Trivial binding (constant/variable): substitute away.
-            if matches!(
-                b.node(),
-                TermNode::Const(_) | TermNode::Var(_) | TermNode::FnRef(_)
-            ) {
-                return substitute_term(&body, *x, &b);
+            // Trivial binding (constant/variable/function reference):
+            // substitute away, unless a binder in the body would capture
+            // the variable it stands for.
+            let trivial = match **b {
+                Expr::Const(_) | Expr::FnRef(_) => true,
+                Expr::Var(r) => !captures(body, x, r),
+                _ => false,
+            };
+            if trivial {
+                substitute(body, x, b);
+                *e = take(body);
+                return true;
             }
-            // Used exactly once, in a position we can safely inline into?
-            // Inlining changes evaluation order in general; skip (the
-            // specializers already bind through `let` deliberately).
-            Term::let_(*x, b, body)
+            // Inlining a binding used once would change evaluation order in
+            // general; the specializers bind through `let` deliberately.
+            fired
+        }
+    }
+}
+
+fn pass_all(args: &mut [Expr], level: OptLevel) -> bool {
+    args.iter_mut()
+        .fold(false, |fired, a| pass(a, level) | fired)
+}
+
+/// Moves the expression out of `e`, leaving a placeholder the caller
+/// overwrites.
+fn take(e: &mut Expr) -> Expr {
+    std::mem::replace(e, Expr::Const(Const::Bool(false)))
+}
+
+/// `_cond`, or the first of `_cond1`, `_cond2`, … that is not free in
+/// `body` (so binding it shadows nothing).
+fn cond_binder(body: &Expr) -> Symbol {
+    let mut name = Symbol::intern("_cond");
+    let mut n = 0;
+    while count_uses(body, name) != 0 {
+        n += 1;
+        name = Symbol::intern(&format!("_cond{n}"));
+    }
+    name
+}
+
+/// True if substituting the variable `r` for `x` in `e` would put `r`
+/// under a binder of `r` at a free occurrence of `x`.
+fn captures(e: &Expr, x: Symbol, r: Symbol) -> bool {
+    match e {
+        Expr::Const(_) | Expr::Var(_) | Expr::FnRef(_) => false,
+        Expr::Prim(_, args) | Expr::Call(_, args) => args.iter().any(|a| captures(a, x, r)),
+        Expr::If(c, t, f) => captures(c, x, r) || captures(t, x, r) || captures(f, x, r),
+        Expr::Let(y, b, body) => {
+            captures(b, x, r) || (*y != x && binder_captures(*y == r, body, x, r))
+        }
+        Expr::Lambda(params, body) => {
+            !params.contains(&x) && binder_captures(params.contains(&r), body, x, r)
+        }
+        Expr::App(f, args) => captures(f, x, r) || args.iter().any(|a| captures(a, x, r)),
+    }
+}
+
+/// [`captures`] below a binder that does not bind `x`: if it binds `r`,
+/// any free `x` beneath is captured.
+fn binder_captures(binds_r: bool, body: &Expr, x: Symbol, r: Symbol) -> bool {
+    if binds_r {
+        count_uses(body, x) != 0
+    } else {
+        captures(body, x, r)
+    }
+}
+
+/// Replaces the free occurrences of `x` in `e` with `replacement`, a
+/// constant, variable or function reference, stopping under binders of
+/// `x`. The caller has ruled out capture ([`captures`]).
+fn substitute(e: &mut Expr, x: Symbol, replacement: &Expr) {
+    match e {
+        Expr::Var(v) => {
+            if *v == x {
+                *e = replacement.clone();
+            }
+        }
+        Expr::Const(_) | Expr::FnRef(_) => {}
+        Expr::Prim(_, args) | Expr::Call(_, args) => {
+            args.iter_mut().for_each(|a| substitute(a, x, replacement));
+        }
+        Expr::If(c, t, f) => {
+            substitute(c, x, replacement);
+            substitute(t, x, replacement);
+            substitute(f, x, replacement);
+        }
+        Expr::Let(y, b, body) => {
+            substitute(b, x, replacement);
+            if *y != x {
+                substitute(body, x, replacement);
+            }
+        }
+        Expr::Lambda(params, body) => {
+            if !params.contains(&x) {
+                substitute(body, x, replacement);
+            }
+        }
+        Expr::App(f, args) => {
+            substitute(f, x, replacement);
+            args.iter_mut().for_each(|a| substitute(a, x, replacement));
         }
     }
 }
@@ -200,26 +280,6 @@ pub fn is_droppable(e: &Expr, level: OptLevel) -> bool {
         Expr::Let(_, b, body) => is_droppable(b, level) && is_droppable(body, level),
         // Calls may diverge; applications may be anything.
         Expr::Call(..) | Expr::App(..) => false,
-    }
-}
-
-/// [`is_droppable`] over interned terms (same definition, no conversion).
-pub fn is_droppable_term(e: &Term, level: OptLevel) -> bool {
-    match e.node() {
-        TermNode::Const(_) | TermNode::Var(_) | TermNode::FnRef(_) | TermNode::Lambda(..) => true,
-        TermNode::Prim(p, args) => {
-            level == OptLevel::PureArith
-                && pure_arith(*p)
-                && args.iter().all(|a| is_droppable_term(a, level))
-        }
-        TermNode::If(c, t, f) => {
-            is_droppable_term(c, level)
-                && is_droppable_term(t, level)
-                && is_droppable_term(f, level)
-        }
-        TermNode::Let(_, b, body) => is_droppable_term(b, level) && is_droppable_term(body, level),
-        // Calls may diverge; applications may be anything.
-        TermNode::Call(..) | TermNode::App(..) => false,
     }
 }
 
@@ -269,78 +329,13 @@ pub fn count_uses(e: &Expr, x: Symbol) -> usize {
     }
 }
 
-/// Capture-avoiding substitution of a *closed-ish* replacement (constants,
-/// variables, function references — which cannot capture) for `x`, with an
-/// O(1) short-circuit on subterms where `x` does not occur free.
-fn substitute_term(e: &Term, x: Symbol, replacement: &Term) -> Term {
-    // No free occurrence of `x` anywhere below: the tree-walking version
-    // would rebuild an identical term, so the original can be returned
-    // directly. This is the memoization that makes the optimizer's
-    // substitution passes cheap on large residuals.
-    if !e.has_free(x) {
-        return e.clone();
-    }
-    match e.node() {
-        TermNode::Const(_) | TermNode::FnRef(_) => e.clone(),
-        TermNode::Var(v) => {
-            if *v == x {
-                replacement.clone()
-            } else {
-                e.clone()
-            }
-        }
-        TermNode::Prim(p, args) => Term::prim(
-            *p,
-            args.iter()
-                .map(|a| substitute_term(a, x, replacement))
-                .collect(),
-        ),
-        TermNode::Call(f, args) => Term::call(
-            *f,
-            args.iter()
-                .map(|a| substitute_term(a, x, replacement))
-                .collect(),
-        ),
-        TermNode::If(c, t, f) => Term::if_(
-            substitute_term(c, x, replacement),
-            substitute_term(t, x, replacement),
-            substitute_term(f, x, replacement),
-        ),
-        TermNode::Let(y, b, body) => {
-            let b = substitute_term(b, x, replacement);
-            // Shadowing stops the substitution; a Var replacement equal to
-            // `y` would be captured, so stop there too.
-            let shadows = *y == x || matches!(replacement.node(), TermNode::Var(r) if r == y);
-            let body = if shadows {
-                body.clone()
-            } else {
-                substitute_term(body, x, replacement)
-            };
-            Term::let_(*y, b, body)
-        }
-        TermNode::Lambda(params, body) => {
-            let captured = params.contains(&x)
-                || matches!(replacement.node(), TermNode::Var(r) if params.contains(r));
-            if captured {
-                e.clone()
-            } else {
-                Term::lambda(params.clone(), substitute_term(body, x, replacement))
-            }
-        }
-        TermNode::App(f, args) => Term::app(
-            substitute_term(f, x, replacement),
-            args.iter()
-                .map(|a| substitute_term(a, x, replacement))
-                .collect(),
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::Evaluator;
     use crate::parser::{parse_expr, parse_program};
-    use crate::pretty::pretty_expr;
+    use crate::pretty::{pretty_expr, pretty_program};
+    use crate::value::Value;
 
     fn opt(src: &str, level: OptLevel) -> String {
         let e = parse_expr(src).unwrap();
@@ -406,15 +401,46 @@ mod tests {
             opt("(let ((a y)) (let ((y 1)) (+ a y)))", OptLevel::Safe),
             "(+ y 1)"
         );
-        // Direct capture test on `substitute_term` itself: replacing a := y
-        // must stop at a λ binding y.
-        let body = Term::from_expr(&parse_expr("(lambda (y) (+ a y))").unwrap());
-        let replaced = substitute_term(
-            &body,
-            crate::Symbol::intern("a"),
-            &Term::var(crate::Symbol::intern("y")),
-        );
-        assert_eq!(replaced, body, "substitution must refuse to capture");
+        // Replacing a := y must stop at a λ binding y.
+        let body = parse_expr("(lambda (y) (+ a y))").unwrap();
+        let (a, y) = (Symbol::intern("a"), Symbol::intern("y"));
+        assert!(captures(&body, a, y), "substitution must refuse to capture");
+        assert!(!captures(&body, y, a), "y is bound, so nothing is replaced");
+    }
+
+    /// A `let` whose substitution a binder of its variable would capture
+    /// stays, so the program keeps the source's meaning.
+    #[test]
+    fn trivial_lets_stay_when_substitution_would_be_captured() {
+        for (src, expected) in [
+            (
+                "(define (f y) (let ((a y)) (let ((y (+ y 1))) (+ a y))))",
+                "(define (f y) (let ((a y)) (let ((y (+ y 1))) (+ a y))))\n",
+            ),
+            (
+                "(define (f y) (let ((a y)) ((lambda (y) (+ a y)) 3)))",
+                "(define (f y) (let ((a y)) ((lambda (y) (+ a y)) 3)))\n",
+            ),
+        ] {
+            let p = parse_program(src).unwrap();
+            let o = optimize_program(&p, OptLevel::Safe);
+            assert_eq!(pretty_program(&o), expected);
+            let source = Evaluator::new(&p).run_main(&[Value::Int(5)]);
+            let optimized = Evaluator::new(&o).run_main(&[Value::Int(5)]);
+            assert_eq!(optimized, source, "{src}");
+        }
+    }
+
+    /// `0.0` and `-0.0` are equal as `F64`s but not as constants of a
+    /// program: optimizing one must not turn the other into it.
+    #[test]
+    fn negative_zero_survives_optimization() {
+        let positive = parse_program("(define (f x) (* x 0.0))").unwrap();
+        let negative = parse_program("(define (f x) (* x -0.0))").unwrap();
+        let o = optimize_program(&positive, OptLevel::Safe);
+        assert_eq!(pretty_program(&o), "(define (f x) (* x 0.0))\n");
+        let o = optimize_program(&negative, OptLevel::Safe);
+        assert_eq!(pretty_program(&o), "(define (f x) (* x -0.0))\n");
     }
 
     #[test]
@@ -423,14 +449,12 @@ mod tests {
         let o = optimize_program(&p, OptLevel::Safe);
         // (= 1 1) is a constant? No — it is a prim application; the online
         // PE folds those, not this cleanup. But the let substitutes.
-        let printed = crate::pretty::pretty_program(&o);
+        let printed = pretty_program(&o);
         assert!(printed.contains("(+ x 0)"), "{printed}");
     }
 
     #[test]
     fn optimization_preserves_semantics_on_samples() {
-        use crate::eval::Evaluator;
-        use crate::value::Value;
         let p = parse_program(
             "(define (f x) (let ((a (+ x 1))) (let ((b a)) (if (< b b) 0 (* b 2)))))",
         )
@@ -471,10 +495,13 @@ mod tests {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn prune_unused_params(program: &Program, level: OptLevel) -> Program {
-    use std::collections::HashSet;
+    let mut defs = program.defs().to_vec();
+    prune_defs(&mut defs, level);
+    rebuild(defs)
+}
 
-    let mut defs: Vec<crate::program::FunDef> = program.defs().to_vec();
-
+/// [`prune_unused_params`] on the definitions themselves, in place.
+fn prune_defs(defs: &mut [FunDef], level: OptLevel) {
     // Functions whose arity is observable through first-class references.
     let mut referenced: HashSet<Symbol> = HashSet::new();
     fn collect_fnrefs(e: &Expr, out: &mut HashSet<Symbol>) {
@@ -502,7 +529,7 @@ pub fn prune_unused_params(program: &Program, level: OptLevel) -> Program {
             }
         }
     }
-    for d in &defs {
+    for d in defs.iter() {
         collect_fnrefs(&d.body, &mut referenced);
     }
 
@@ -517,14 +544,14 @@ pub fn prune_unused_params(program: &Program, level: OptLevel) -> Program {
             continue;
         }
         for i in 0..d.params.len() {
-            if all_call_args_droppable(&defs, d.name, i, level) {
+            if all_call_args_droppable(defs, d.name, i, level) {
                 dead.insert((d.name, i));
             }
         }
     }
     loop {
         let mut changed = false;
-        for d in &defs {
+        for d in defs.iter() {
             for (i, p) in d.params.iter().enumerate() {
                 if !dead.contains(&(d.name, i)) {
                     continue;
@@ -544,16 +571,15 @@ pub fn prune_unused_params(program: &Program, level: OptLevel) -> Program {
     }
     if !dead.is_empty() {
         // Remove, highest positions first per function.
-        let mut by_fn: std::collections::HashMap<Symbol, Vec<usize>> =
-            std::collections::HashMap::new();
+        let mut by_fn: HashMap<Symbol, Vec<usize>> = HashMap::new();
         for (f, i) in &dead {
             by_fn.entry(*f).or_default().push(*i);
         }
         for positions in by_fn.values_mut() {
             positions.sort_unstable_by(|a, b| b.cmp(a));
         }
-        for d in &mut defs {
-            d.body = drop_dead_args(&d.body, &by_fn);
+        for d in defs.iter_mut() {
+            drop_dead_args(&mut d.body, &by_fn);
             if let Some(positions) = by_fn.get(&d.name) {
                 for &i in positions {
                     d.params.remove(i);
@@ -567,17 +593,11 @@ pub fn prune_unused_params(program: &Program, level: OptLevel) -> Program {
     let mut free = Vec::new();
     defs[0].body.free_vars(&mut free);
     defs[0].params.retain(|p| free.contains(p));
-
-    Program::new(defs).expect("pruning preserves program shape")
 }
 
 /// Occurrences of `x` in `e`, not counting argument slots of dead
 /// positions (those arguments are about to be deleted).
-fn uses_outside_dead(
-    e: &Expr,
-    x: Symbol,
-    dead: &std::collections::HashSet<(Symbol, usize)>,
-) -> usize {
+fn uses_outside_dead(e: &Expr, x: Symbol, dead: &HashSet<(Symbol, usize)>) -> usize {
     match e {
         Expr::Const(_) | Expr::FnRef(_) => 0,
         Expr::Var(v) => usize::from(*v == x),
@@ -623,46 +643,37 @@ fn uses_outside_dead(
     }
 }
 
-/// Rewrites every call, deleting arguments at dead positions.
-fn drop_dead_args(e: &Expr, by_fn: &std::collections::HashMap<Symbol, Vec<usize>>) -> Expr {
+/// Deletes, in place, every call's arguments at dead positions.
+fn drop_dead_args(e: &mut Expr, by_fn: &HashMap<Symbol, Vec<usize>>) {
     match e {
-        Expr::Const(_) | Expr::Var(_) | Expr::FnRef(_) => e.clone(),
-        Expr::Prim(p, args) => {
-            Expr::Prim(*p, args.iter().map(|a| drop_dead_args(a, by_fn)).collect())
-        }
+        Expr::Const(_) | Expr::Var(_) | Expr::FnRef(_) => {}
+        Expr::Prim(_, args) => args.iter_mut().for_each(|a| drop_dead_args(a, by_fn)),
         Expr::Call(g, args) => {
-            let mut args: Vec<Expr> = args.iter().map(|a| drop_dead_args(a, by_fn)).collect();
+            args.iter_mut().for_each(|a| drop_dead_args(a, by_fn));
             if let Some(positions) = by_fn.get(g) {
                 for &i in positions {
                     args.remove(i);
                 }
             }
-            Expr::Call(*g, args)
         }
-        Expr::If(a, b, c) => Expr::If(
-            Box::new(drop_dead_args(a, by_fn)),
-            Box::new(drop_dead_args(b, by_fn)),
-            Box::new(drop_dead_args(c, by_fn)),
-        ),
-        Expr::Let(x, a, b) => Expr::Let(
-            *x,
-            Box::new(drop_dead_args(a, by_fn)),
-            Box::new(drop_dead_args(b, by_fn)),
-        ),
-        Expr::Lambda(ps, b) => Expr::Lambda(ps.clone(), Box::new(drop_dead_args(b, by_fn))),
-        Expr::App(f, args) => Expr::App(
-            Box::new(drop_dead_args(f, by_fn)),
-            args.iter().map(|a| drop_dead_args(a, by_fn)).collect(),
-        ),
+        Expr::If(a, b, c) => {
+            drop_dead_args(a, by_fn);
+            drop_dead_args(b, by_fn);
+            drop_dead_args(c, by_fn);
+        }
+        Expr::Let(_, a, b) => {
+            drop_dead_args(a, by_fn);
+            drop_dead_args(b, by_fn);
+        }
+        Expr::Lambda(_, b) => drop_dead_args(b, by_fn),
+        Expr::App(f, args) => {
+            drop_dead_args(f, by_fn);
+            args.iter_mut().for_each(|a| drop_dead_args(a, by_fn));
+        }
     }
 }
 
-fn all_call_args_droppable(
-    defs: &[crate::program::FunDef],
-    f: Symbol,
-    position: usize,
-    level: OptLevel,
-) -> bool {
+fn all_call_args_droppable(defs: &[FunDef], f: Symbol, position: usize, level: OptLevel) -> bool {
     fn check(e: &Expr, f: Symbol, position: usize, level: OptLevel) -> bool {
         match e {
             Expr::Const(_) | Expr::Var(_) | Expr::FnRef(_) => true,

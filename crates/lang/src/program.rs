@@ -103,6 +103,11 @@ impl Program {
         &self.defs
     }
 
+    /// Gives up the program for its definitions, in source order.
+    pub(crate) fn into_defs(self) -> Vec<FunDef> {
+        self.defs
+    }
+
     /// The main function (first definition).
     pub fn main(&self) -> &FunDef {
         &self.defs[0]
@@ -335,9 +340,10 @@ fn hash_const(c: &crate::ast::Const, h: &mut Fnv64) {
         }
         Const::Float(x) => {
             h.write_u8(3);
-            // -0.0 normalizes to 0.0, matching F64's Eq/Hash agreement.
-            let bits = if x.get() == 0.0 { 0 } else { x.get().to_bits() };
-            h.write_u64(bits);
+            // The bits as written: `0.0` and `-0.0` are equal `F64`s but
+            // not interchangeable constants (`(* 2.0 -0.0)` is `-0.0`), so
+            // programs holding them must not share a cache key.
+            h.write_u64(x.get().to_bits());
         }
     }
 }
@@ -458,6 +464,15 @@ mod tests {
         let i = parse_program("(define (f) 1)").unwrap();
         let f = parse_program("(define (f) 1.0)").unwrap();
         assert_ne!(i.fingerprint(), f.fingerprint());
+    }
+
+    #[test]
+    fn fingerprints_distinguish_the_sign_of_zero() {
+        let p = parse_program("(define (f x) (* x 0.0))").unwrap();
+        let n = parse_program("(define (f x) (* x -0.0))").unwrap();
+        assert_ne!(p.fingerprint(), n.fingerprint());
+        assert_ne!(p.defs()[0].fingerprint(), n.defs()[0].fingerprint());
+        assert_ne!(p.term_fingerprint(), n.term_fingerprint());
     }
 
     #[test]

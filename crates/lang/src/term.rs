@@ -5,10 +5,10 @@
 //! structurally equal subterms share one allocation: equality is a pointer
 //! comparison in the common case, hashing reads a precomputed 64-bit
 //! fingerprint, and each node caches its size and free-variable occurrence
-//! counts. The specialization pipeline uses terms wherever expression
-//! trees are repeatedly cloned, compared, or re-traversed — residual
-//! construction in the online engines and the optimizer's binder-use
-//! queries (`count_uses` becomes a binary search instead of a traversal).
+//! counts. No request path builds terms: the pipeline's keys use
+//! [`fingerprint_of`], a plain walk that gives a term's fingerprint
+//! without interning, and the residual optimizer rewrites [`Expr`] trees
+//! in place.
 //!
 //! Sharing is safe because [`Expr`] (and hence [`TermNode`]) is immutable:
 //! no holder of a `Term` can observe another holder's mutations, there are
@@ -203,11 +203,9 @@ fn const_bits(c: &Const) -> u64 {
     match c {
         Const::Int(n) => mix(1, *n as u64),
         Const::Bool(b) => mix(2, u64::from(*b)),
-        Const::Float(x) => {
-            // -0.0 normalizes to 0.0, matching F64's Eq/Hash agreement.
-            let bits = if x.get() == 0.0 { 0 } else { x.get().to_bits() };
-            mix(3, bits)
-        }
+        // The bits as written, so `0.0` and `-0.0` stay distinct terms
+        // (and distinct VM chunk keys) although they are equal `F64`s.
+        Const::Float(x) => mix(3, x.get().to_bits()),
     }
 }
 

@@ -13,7 +13,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 use ppe_core::{FacetSet, ProductVal};
-use ppe_lang::{optimize_program, pretty_program, prune_unused_params, OptLevel, Program, Symbol};
+use ppe_lang::{optimize_residual, pretty_program, OptLevel, Program, Symbol};
 use ppe_offline::{analyze_fn_with_config, AbstractInput, Analysis, OfflinePe};
 use ppe_online::{OnlinePe, PeConfig, PeInput, SimpleInput, SimplePe};
 
@@ -180,10 +180,7 @@ pub(crate) fn run(
         }
     };
     let rendered = if req.optimize {
-        prune_unused_params(
-            &optimize_program(&residual.program, OptLevel::Safe),
-            OptLevel::Safe,
-        )
+        optimize_residual(residual.program, OptLevel::Safe)
     } else {
         residual.program
     };

@@ -382,8 +382,12 @@ impl<'a> Parser<'a> {
             .bytes
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| "truncated \\u escape".to_owned())?;
-        let s = std::str::from_utf8(chunk).map_err(|_| "bad \\u escape".to_owned())?;
-        let n = u32::from_str_radix(s, 16).map_err(|_| "bad \\u escape".to_owned())?;
+        // Exactly four ASCII hex digits (`u32::from_str_radix` would also
+        // take a leading `+`).
+        let n = chunk
+            .iter()
+            .try_fold(0, |n, &b| Some(n * 16 + char::from(b).to_digit(16)?))
+            .ok_or_else(|| "bad \\u escape".to_owned())?;
         self.pos += 4;
         Ok(n)
     }

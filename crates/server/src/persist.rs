@@ -69,7 +69,12 @@ pub const MAGIC: [u8; 8] = *b"PPECACHE";
 /// gained `entry` + `closure_fp` so `gc --stale-against` can validate
 /// entries against an edited program. v1 entries are quarantined as
 /// `WrongVersion` rather than mis-hit under the new keying.
-pub const FORMAT_VERSION: u32 = 2;
+///
+/// v3: program fingerprints hash a float constant's bits as written, so
+/// `0.0` and `-0.0` no longer share a key. A v2 store may hold one sign's
+/// residual under the key the other now shares with nothing, so v2
+/// entries are quarantined as `WrongVersion`.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Header size: magic (8) + version (4) + key (16) + payload length (8) +
 /// payload checksum (16).

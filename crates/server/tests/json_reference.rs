@@ -185,6 +185,9 @@ mod reference {
                 .bytes
                 .get(self.pos..self.pos + 4)
                 .ok_or_else(|| "truncated \\u escape".to_owned())?;
+            if !chunk.iter().all(u8::is_ascii_hexdigit) {
+                return Err("bad \\u escape".to_owned());
+            }
             let s = std::str::from_utf8(chunk).map_err(|_| "bad \\u escape".to_owned())?;
             let n = u32::from_str_radix(s, 16).map_err(|_| "bad \\u escape".to_owned())?;
             self.pos += 4;
@@ -425,6 +428,21 @@ proptest! {
     #[test]
     fn arbitrary_text_decodes_alike(s in "\\PC{0,40}") {
         agree(&s)?;
+    }
+}
+
+/// `\u` takes exactly four hex digits: a leading `+`, which
+/// `u32::from_str_radix` accepts, is an error, not U+0123 or U+0004.
+#[test]
+fn signed_unicode_escapes_are_errors() {
+    for src in [
+        r#""\u+123""#,
+        r#""\u+0041""#,
+        r#"{"program": "\u+123"}"#,
+        r#"["ok", "\u0041\u+0041"]"#,
+    ] {
+        agree(src).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(Json::parse(src), Err("bad \\u escape".to_owned()), "{src}");
     }
 }
 

@@ -167,6 +167,37 @@ fn residual_keys_are_stable() {
     );
 }
 
+/// `0.0` and `-0.0` are equal `F64`s but programs with different
+/// residuals (`(* 2.0 -0.0)` is `-0.0`), so they must not share a key. The
+/// `0.0` program keeps the key it had before float bits were hashed as
+/// written.
+#[test]
+fn the_sign_of_a_zero_reaches_the_key() {
+    const POSITIVE: &str = "(define (f x) (* x 0.0))";
+    const NEGATIVE: &str = "(define (f x) (* x -0.0))";
+    let config = PeConfig::default();
+    let (names, ps) = products(&["_"], &[]);
+    let key = |src: &str| {
+        let fp = closure_fingerprint(src, "f");
+        residual_key(fp, "f", Engine::Online, &names, &ps, false, &config)
+    };
+    assert_key(
+        "f/online/zero",
+        key(POSITIVE),
+        "ea6c474038c9a096f37f9770ef243e05",
+    );
+    assert_key(
+        "f/online/negative-zero",
+        key(NEGATIVE),
+        "a7e4f9eb3ff3151e377d5898b0739b99",
+    );
+    assert_ne!(program_fingerprint(POSITIVE), program_fingerprint(NEGATIVE));
+    assert_ne!(
+        closure_fingerprint(POSITIVE, "f"),
+        closure_fingerprint(NEGATIVE, "f")
+    );
+}
+
 #[test]
 fn analysis_keys_are_stable() {
     let fp = closure_fingerprint(POWER, "power");

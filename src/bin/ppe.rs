@@ -78,8 +78,8 @@ use ppe::analyze::{check_certificate, check_inputs, check_source, check_unfoldin
 use ppe::core::consistency::default_candidates;
 use ppe::core::safety::validate_facet;
 use ppe::lang::{
-    interner_stats, optimize_program, parse_program, pretty_program, prune_unused_params,
-    Diagnostic, Evaluator, OptLevel, Program, Value,
+    optimize_residual, parse_program, pretty_program, Diagnostic, Evaluator, OptLevel, Program,
+    Value,
 };
 use ppe::offline::{analyze_with_config, AbstractInput, OfflinePe};
 use ppe::online::{ExhaustionPolicy, OnlinePe, PeConfig, PeInput};
@@ -409,12 +409,9 @@ fn cmd_specialize(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?
     };
     let final_program = if opts.optimize {
-        prune_unused_params(
-            &optimize_program(&residual.program, OptLevel::Safe),
-            OptLevel::Safe,
-        )
+        optimize_residual(residual.program, OptLevel::Safe)
     } else {
-        residual.program.clone()
+        residual.program
     };
     print!("{}", pretty_program(&final_program));
     eprintln!(
@@ -950,21 +947,9 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     }
     let mut metrics = service.metrics().snapshot().to_json();
     if let Json::Obj(map) = &mut metrics {
-        // Term-interner effectiveness for this process: how much of the
-        // batch's term construction was answered by sharing.
-        let interner = interner_stats();
-        map.insert(
-            "interner_nodes".to_owned(),
-            Json::num(interner.nodes_interned),
-        );
-        map.insert("interner_hits".to_owned(), Json::num(interner.hits));
-        map.insert(
-            "interner_hit_rate".to_owned(),
-            Json::Num((interner.hit_rate() * 1000.0).round() / 1000.0),
-        );
         // VM chunk-cache effectiveness, process-wide (the service's vm_*
         // counters above are per-service; these include every VM run in
-        // the process, mirroring the interner numbers).
+        // the process).
         let vm = ppe::vm::vm_stats();
         map.insert(
             "vm_total_chunks_compiled".to_owned(),

@@ -88,7 +88,8 @@
 //! Residual programs are ordinary [`lang::Program`]s: run them with
 //! [`lang::Evaluator`], compile them to bytecode and run them fast with
 //! [`vm`], clean them with [`lang::optimize_program`] and
-//! [`lang::prune_unused_params`], or print them with
+//! [`lang::prune_unused_params`] (both at once, in place, with
+//! [`lang::optimize_residual`]), or print them with
 //! [`lang::pretty_program`].
 
 #![forbid(unsafe_code)]

@@ -181,9 +181,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The residual cleanup passes preserve semantics, at both levels, on
-    /// random programs and inputs.
+    /// random programs and inputs, half of them with `let`s that rebind
+    /// the parameters' names.
     #[test]
-    fn optimizer_preserves_semantics(body in int_expr(), y in small_const(), x in -6i64..=6) {
+    fn optimizer_preserves_semantics(
+        body in prop_oneof![int_expr(), rebinding_expr()],
+        y in small_const(),
+        x in -6i64..=6,
+    ) {
         use ppe::lang::{optimize_program, OptLevel};
         let program = program_of(&body);
         for level in [OptLevel::Safe, OptLevel::PureArith] {
@@ -212,6 +217,39 @@ proptest! {
         let opt = run(&optimized, &[Value::Int(x), Value::from_const(y)]);
         prop_assert_eq!(source.is_ok(), opt.is_ok());
     }
+}
+
+/// Names the optimizer tests' `let`s bind: the parameters' own and `a`.
+const REBINDERS: [&str; 3] = ["x", "y", "a"];
+
+/// Integer expressions for `(define (f x y) …)` whose `let`s rebind
+/// [`REBINDERS`], so binders shadow the parameters and one another. One
+/// form binds a parameter's value and then rebinds that parameter,
+/// `(let ((a y)) (let ((y e)) body))`: substituting `a` in `body` there
+/// would be captured. Variables are slots, resolved by [`close`].
+fn rebinding_expr() -> impl Strategy<Value = Expr> {
+    let name = || (0..REBINDERS.len()).prop_map(|i| Symbol::intern(REBINDERS[i]));
+    let param = || prop_oneof![Just(Symbol::intern("x")), Just(Symbol::intern("y"))];
+    let let_ = |v: Symbol, bound: Expr, body: Expr| Expr::Let(v, Box::new(bound), Box::new(body));
+    let leaf = prop_oneof![(-6i64..=6).prop_map(Expr::int), slot_var()];
+    leaf.prop_recursive(4, 32, 3, move |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::prim(Prim::Add, vec![a, b])),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::prim(Prim::Mul, vec![a, b])),
+            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, t, f)| Expr::If(
+                Box::new(Expr::prim(Prim::Lt, vec![c, Expr::int(0)])),
+                Box::new(t),
+                Box::new(f)
+            )),
+            (name(), inner.clone(), inner.clone()).prop_map(move |(v, b, body)| let_(v, b, body)),
+            ((name(), param()), inner.clone(), inner).prop_map(move |((a, v), e, body)| let_(
+                a,
+                Expr::Var(v),
+                let_(v, e, body)
+            )),
+        ]
+    })
+    .prop_map(|e| close(&e, &[Symbol::intern("x"), Symbol::intern("y")]))
 }
 
 /// The residuals of `program`'s entry from the online and simple
@@ -325,14 +363,25 @@ fn slot_var() -> impl Strategy<Value = Expr> {
     (0..4usize).prop_map(|k| Expr::var(&format!("#{k}")))
 }
 
-/// Resolves slot `#k` to `scope[k % scope.len()]`.
+/// Resolves slot `#k` to `scope[k % scope.len()]`, where a `let` adds its
+/// binder to the scope of its body; other variables stay.
 fn close(e: &Expr, scope: &[Symbol]) -> Expr {
     match e {
-        Expr::Var(v) => {
-            let k: usize = v.as_str()[1..].parse().expect("slot variable");
-            Expr::Var(scope[k % scope.len()])
-        }
+        Expr::Var(v) => match v.as_str().strip_prefix('#') {
+            Some(k) => Expr::Var(scope[k.parse::<usize>().expect("slot variable") % scope.len()]),
+            None => e.clone(),
+        },
         Expr::Prim(p, args) => Expr::Prim(*p, args.iter().map(|a| close(a, scope)).collect()),
+        Expr::If(c, t, f) => Expr::If(
+            Box::new(close(c, scope)),
+            Box::new(close(t, scope)),
+            Box::new(close(f, scope)),
+        ),
+        Expr::Let(v, b, body) => Expr::Let(
+            *v,
+            Box::new(close(b, scope)),
+            Box::new(close(body, &[scope, &[*v]].concat())),
+        ),
         other => other.clone(),
     }
 }

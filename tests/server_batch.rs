@@ -262,3 +262,45 @@ fn serve_execute_agrees_with_run_on_large_and_infinite_floats() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `0.0` and `-0.0` are equal `F64`s, but `(* x 0.0)` and `(* x -0.0)` are
+/// different programs. Sent one after the other on one session, the second
+/// must get its own residual and value, as it does when sent alone, not the
+/// first one's from the cache.
+#[test]
+fn serve_keeps_the_sign_of_a_zero_apart() {
+    let cases = [
+        ("(define (f x) (* x 0.0))", "0.0"),
+        ("(define (f x) (* x -0.0))", "-0.0"),
+    ];
+    let mut input = String::new();
+    for (src, _) in cases {
+        let execute = Json::Arr(vec![Json::str("2.0")]);
+        input += &request_line(src, "_", &[("execute", execute)]);
+        input.push('\n');
+    }
+    input += "{\"cmd\": \"shutdown\"}\n";
+    let (ok, stdout, stderr) = ppe_with_stdin(&["serve", "--jobs", "1"], &input);
+    assert!(ok, "{stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), cases.len() + 1, "{stdout}");
+    for ((src, value), line) in cases.iter().zip(&lines) {
+        let v = Json::parse(line).expect("response is JSON");
+        assert_eq!(
+            v.get("cache").and_then(Json::as_str),
+            Some("miss"),
+            "{line}"
+        );
+        assert_eq!(
+            v.get("residual").and_then(Json::as_str),
+            Some(format!("{src}\n").as_str()),
+            "{line}"
+        );
+        let exec = v.get("exec").expect("execute outcome");
+        assert_eq!(
+            exec.get("value").and_then(Json::as_str),
+            Some(*value),
+            "{line}"
+        );
+    }
+}
