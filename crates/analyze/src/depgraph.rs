@@ -22,10 +22,10 @@
 //!   which is what lets it key the disk tier.
 //!
 //! Local fingerprints deliberately use [`FunDef::fingerprint`] rather
-//! than the hash-consed [`ppe_lang::term::Term`] fingerprint: the Term
-//! interner mixes process-local symbol ids, which is fine for the VM's
-//! in-process chunk cache but would silently miss across restarts if
-//! embedded in persistent keys.
+//! than the structural [`ppe_lang::term::fingerprint_of`]: that walk
+//! mixes process-local symbol ids, which is fine for the VM's in-process
+//! chunk cache but would silently miss across restarts if embedded in
+//! persistent keys.
 //!
 //! On top of the graph this module derives two diagnostics/reports:
 //!

@@ -59,5 +59,5 @@ pub use pretty::{pretty_expr, pretty_program};
 pub use prim::{Prim, StdOpClass, ALL_PRIMS, MAX_VECTOR_SIZE};
 pub use program::{FunDef, Program};
 pub use symbol::Symbol;
-pub use term::{interner_stats, InternerStats, Term, TermNode};
+pub use term::{interner_stats, InternerStats};
 pub use value::{ClosureData, Value};

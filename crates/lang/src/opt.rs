@@ -133,7 +133,7 @@ fn pass(e: &mut Expr, level: OptLevel) -> bool {
             }
             // Identical branches collapse; the test is kept (sequenced)
             // unless it is droppable.
-            if t != f {
+            if !same(t, f) {
                 return fired;
             }
             *e = if is_droppable(c, level) {
@@ -329,6 +329,29 @@ pub fn count_uses(e: &Expr, x: Symbol) -> usize {
     }
 }
 
+/// True if `a` and `b` are the same tree, reading float constants by their
+/// bits. `Expr`'s `==` takes `0.0` and `-0.0` as equal, but a branch that
+/// answers one cannot stand in for a branch that answers the other.
+fn same(a: &Expr, b: &Expr) -> bool {
+    let all = |xs: &[Expr], ys: &[Expr]| {
+        xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same(x, y))
+    };
+    match (a, b) {
+        (Expr::Const(Const::Float(x)), Expr::Const(Const::Float(y))) => {
+            x.get().to_bits() == y.get().to_bits()
+        }
+        (Expr::Const(x), Expr::Const(y)) => x == y,
+        (Expr::Var(x), Expr::Var(y)) | (Expr::FnRef(x), Expr::FnRef(y)) => x == y,
+        (Expr::Prim(p, xs), Expr::Prim(q, ys)) => p == q && all(xs, ys),
+        (Expr::Call(f, xs), Expr::Call(g, ys)) => f == g && all(xs, ys),
+        (Expr::If(c, t, f), Expr::If(d, u, g)) => same(c, d) && same(t, u) && same(f, g),
+        (Expr::Let(x, b, e), Expr::Let(y, c, f)) => x == y && same(b, c) && same(e, f),
+        (Expr::Lambda(xs, e), Expr::Lambda(ys, f)) => xs == ys && same(e, f),
+        (Expr::App(f, xs), Expr::App(g, ys)) => same(f, g) && all(xs, ys),
+        _ => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,6 +464,27 @@ mod tests {
         assert_eq!(pretty_program(&o), "(define (f x) (* x 0.0))\n");
         let o = optimize_program(&negative, OptLevel::Safe);
         assert_eq!(pretty_program(&o), "(define (f x) (* x -0.0))\n");
+    }
+
+    /// Branches that differ only in the sign of a zero are not identical:
+    /// collapsing them answers `0.0` where the source answers `-0.0`.
+    #[test]
+    fn branches_apart_by_the_sign_of_a_zero_stay_apart() {
+        for (src, args) in [
+            ("(define (f c) (if c 0.0 -0.0))", vec![Value::Bool(false)]),
+            (
+                "(define (f c x) (if c (+ x 0.0) (+ x -0.0)))",
+                vec![Value::Bool(false), Value::Float(-0.0)],
+            ),
+        ] {
+            let p = parse_program(src).unwrap();
+            let o = optimize_program(&p, OptLevel::Safe);
+            assert_eq!(pretty_program(&o), pretty_program(&p), "{src}");
+            let source = Evaluator::new(&p).run_main(&args).unwrap();
+            let optimized = Evaluator::new(&o).run_main(&args).unwrap();
+            assert_eq!(optimized.to_string(), "-0.0", "{src}");
+            assert_eq!(optimized.to_string(), source.to_string(), "{src}");
+        }
     }
 
     #[test]

@@ -254,13 +254,12 @@ impl Program {
 
     /// A second 64-bit structural fingerprint, independent of
     /// [`Program::fingerprint`]: FNV-1a over every definition's body
-    /// fingerprint ([`crate::term::fingerprint_of`], equal to the interned
-    /// [`crate::Term`]'s) and arity, in order. It mixes [`Symbol`] indices,
-    /// so it is stable only within one process. The VM chunk cache keys on
-    /// the pair of the two.
+    /// fingerprint ([`crate::term::fingerprint_of`]) and arity, in order.
+    /// It mixes [`Symbol`] indices, so it is stable only within one
+    /// process. The VM chunk cache keys on the pair of the two.
     ///
-    /// The walk interns nothing, runs once per program, and is memoized
-    /// like [`Program::fingerprint`].
+    /// The walk runs once per program and is memoized like
+    /// [`Program::fingerprint`].
     pub fn term_fingerprint(&self) -> u64 {
         *self.term_fingerprint.get_or_init(|| {
             let mut h = Fnv64::new();

@@ -1,12 +1,16 @@
-//! The plain fingerprint walk against the interner. The VM chunk key reads
-//! `Program::term_fingerprint`, a fold of `term::fingerprint_of` over the
-//! definitions, instead of interning every body; that is sound only while
-//! the walk returns exactly what interning records, on every expression
-//! form.
+//! What the VM chunk key needs of `term::fingerprint_of`. The key reads
+//! `Program::term_fingerprint`, a memoized fold of the walk over the
+//! definitions, and a hit hands back chunks compiled from another program.
+//! So equal trees must fingerprint alike, however they were built, and a
+//! tree that differs in any one node, in any form and any child position,
+//! must fingerprint differently, floats by their bits (`0.0` and `-0.0`
+//! are equal `F64`s but compile to different constants).
+
+use std::collections::HashSet;
 
 use ppe_lang::term::fingerprint_of;
 use ppe_lang::{
-    parse_defs, pretty_program, Const, Expr, FunDef, Program, Symbol, Term, ALL_PRIMS, F64,
+    parse_defs, pretty_program, Const, Expr, FunDef, Prim, Program, Symbol, ALL_PRIMS, F64,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -92,9 +96,8 @@ fn arb_program() -> impl Strategy<Value = Program> {
     })
 }
 
-/// The fold `Program::term_fingerprint` memoizes, recomputed afresh
-/// through the interner.
-fn interned_fold(p: &Program) -> u64 {
+/// The fold `Program::term_fingerprint` memoizes, recomputed afresh.
+fn fresh_fold(p: &Program) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |x: u64| {
         for b in x.to_le_bytes() {
@@ -103,23 +106,71 @@ fn interned_fold(p: &Program) -> u64 {
         }
     };
     for d in p.defs() {
-        mix(Term::from_expr(&d.body).fingerprint());
+        mix(fingerprint_of(&d.body));
         mix(d.params.len() as u64);
     }
     h
+}
+
+/// A variable no generated expression holds: [`arb_name`] always starts
+/// with `q`.
+fn mutant() -> Expr {
+    Expr::Var(Symbol::intern("mutant"))
+}
+
+/// Replaces the subtree at preorder index `*at` (below `e.size()`) with
+/// [`mutant`]; counts `*at` down past the subtrees it skips.
+fn replace_at(e: &mut Expr, at: &mut usize) {
+    if *at == 0 {
+        *e = mutant();
+        *at = usize::MAX;
+        return;
+    }
+    *at -= 1;
+    let kids: Vec<&mut Expr> = match e {
+        Expr::Const(_) | Expr::Var(_) | Expr::FnRef(_) => Vec::new(),
+        Expr::Prim(_, args) | Expr::Call(_, args) => args.iter_mut().collect(),
+        Expr::If(c, t, f) => vec![&mut **c, &mut **t, &mut **f],
+        Expr::Let(_, b, body) => vec![&mut **b, &mut **body],
+        Expr::Lambda(_, body) => vec![&mut **body],
+        Expr::App(f, args) => std::iter::once(&mut **f).chain(args.iter_mut()).collect(),
+    };
+    for k in kids {
+        if *at == usize::MAX {
+            return;
+        }
+        replace_at(k, at);
+    }
+}
+
+fn float(x: f64) -> Expr {
+    Expr::Const(Const::Float(F64::new(x).expect("not NaN")))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn walk_equals_the_interned_fingerprint(e in arb_expr()) {
-        prop_assert_eq!(fingerprint_of(&e), Term::from_expr(&e).fingerprint());
+    fn one_changed_node_changes_the_fingerprint(
+        e in arb_expr(),
+        at in any::<i64>(),
+    ) {
+        // An equal tree built apart fingerprints alike.
+        prop_assert_eq!(fingerprint_of(&e), fingerprint_of(&e.clone()));
+        let mut changed = e.clone();
+        replace_at(&mut changed, &mut (at.unsigned_abs() as usize % e.size()));
+        prop_assert!(fingerprint_of(&e) != fingerprint_of(&changed), "{:?}", changed);
+    }
+
+    #[test]
+    fn floats_fingerprint_by_their_bits(a in arb_float(), b in arb_float()) {
+        let same = fingerprint_of(&float(a.get())) == fingerprint_of(&float(b.get()));
+        prop_assert_eq!(same, a.get().to_bits() == b.get().to_bits(), "{} {}", a, b);
     }
 
     #[test]
     fn program_memo_equals_a_fresh_fold(p in arb_program()) {
-        let fresh = interned_fold(&p);
+        let fresh = fresh_fold(&p);
         prop_assert_eq!(p.term_fingerprint(), fresh);
         // The memo answers again without a walk, and clones inherit it.
         prop_assert_eq!(p.term_fingerprint(), fresh);
@@ -140,30 +191,72 @@ proptest! {
 
 #[test]
 fn every_form_is_covered() {
-    // One fixed instance of each form, so a form the generator stops
-    // producing still gets checked.
-    let x = Symbol::intern("qx");
+    // Fixed instances of each form, and of each form with one field or one
+    // child changed, so a form the generator stops producing still gets
+    // checked. No two are the same tree, so no two may share a fingerprint.
+    let s = Symbol::intern;
+    let (x, y) = (s("qx"), s("qy"));
+    let var = Expr::Var;
+    let if_ = |c, t, f| Expr::If(Box::new(c), Box::new(t), Box::new(f));
+    let let_ = |x, b, body| Expr::Let(x, Box::new(b), Box::new(body));
+    let lambda = |ps: &[Symbol], body| Expr::Lambda(ps.to_vec(), Box::new(body));
+    let app = |f, args| Expr::App(Box::new(f), args);
     let exprs = [
+        // Constants: each type, both zeros, both infinities.
         Expr::int(-7),
+        Expr::int(7),
+        Expr::int(0),
+        Expr::int(1),
         Expr::bool(true),
-        Expr::Const(Const::Float(F64::new(-0.0).expect("not NaN"))),
-        Expr::Var(x),
-        Expr::FnRef(Symbol::intern("qf")),
-        Expr::Prim(ALL_PRIMS[0], vec![Expr::Var(x), Expr::int(1)]),
-        Expr::Call(Symbol::intern("def0"), vec![Expr::Var(x)]),
-        Expr::If(
-            Box::new(Expr::bool(false)),
-            Box::new(Expr::int(1)),
-            Box::new(Expr::int(2)),
-        ),
-        Expr::Let(x, Box::new(Expr::int(3)), Box::new(Expr::Var(x))),
-        Expr::Lambda(vec![x, Symbol::intern("qy")], Box::new(Expr::Var(x))),
-        Expr::App(
-            Box::new(Expr::Lambda(vec![x], Box::new(Expr::Var(x)))),
-            vec![Expr::int(4)],
-        ),
+        Expr::bool(false),
+        float(0.0),
+        float(-0.0),
+        float(f64::INFINITY),
+        float(f64::NEG_INFINITY),
+        float(1.5),
+        // A name as a variable and as a function reference.
+        var(x),
+        var(y),
+        Expr::FnRef(x),
+        Expr::FnRef(s("qf")),
+        // Primitives: the operator, each operand, the operand count.
+        Expr::Prim(Prim::Add, vec![var(x), Expr::int(1)]),
+        Expr::Prim(Prim::Sub, vec![var(x), Expr::int(1)]),
+        Expr::Prim(Prim::Add, vec![var(y), Expr::int(1)]),
+        Expr::Prim(Prim::Add, vec![var(x), Expr::int(2)]),
+        Expr::Prim(Prim::Add, vec![var(x), float(0.0)]),
+        Expr::Prim(Prim::Add, vec![var(x), float(-0.0)]),
+        Expr::Prim(Prim::Add, vec![var(x)]),
+        // Calls: the callee, the argument, the argument count.
+        Expr::Call(s("def0"), vec![var(x)]),
+        Expr::Call(s("def1"), vec![var(x)]),
+        Expr::Call(s("def0"), vec![var(y)]),
+        Expr::Call(s("def0"), vec![var(x), var(x)]),
+        // Conditionals: each of the three children.
+        if_(Expr::bool(false), Expr::int(1), Expr::int(2)),
+        if_(Expr::bool(true), Expr::int(1), Expr::int(2)),
+        if_(Expr::bool(false), Expr::int(3), Expr::int(2)),
+        if_(Expr::bool(false), Expr::int(1), Expr::int(3)),
+        // `let`: the binder, the bound expression, the body.
+        let_(x, Expr::int(3), var(x)),
+        let_(y, Expr::int(3), var(x)),
+        let_(x, Expr::int(4), var(x)),
+        let_(x, Expr::int(3), var(y)),
+        // λ: the binders' order and count, the body.
+        lambda(&[x, y], var(x)),
+        lambda(&[y, x], var(x)),
+        lambda(&[x], var(x)),
+        lambda(&[], var(x)),
+        lambda(&[x, y], var(y)),
+        // Application: the operator, the argument, the argument count.
+        app(var(s("qf")), vec![Expr::int(4)]),
+        app(var(s("qg")), vec![Expr::int(4)]),
+        app(var(s("qf")), vec![Expr::int(5)]),
+        app(var(s("qf")), vec![Expr::int(4), Expr::int(4)]),
     ];
+    let fingerprints: HashSet<u64> = exprs.iter().map(fingerprint_of).collect();
+    assert_eq!(fingerprints.len(), exprs.len(), "two instances collide");
     for e in &exprs {
-        assert_eq!(fingerprint_of(e), Term::from_expr(e).fingerprint(), "{e:?}");
+        assert_eq!(fingerprint_of(e), fingerprint_of(&e.clone()), "{e:?}");
     }
 }

@@ -8,8 +8,9 @@
 //! workloads (the paper's Section 6 examples, the E8 bench) re-walk the
 //! same source subterms once per unfolding, so the same static arithmetic
 //! is re-derived thousands of times. The shortcut lowers such a subterm
-//! to a `ppe-vm` chunk once — keyed by its [`Term`](ppe_lang::Term)
-//! fingerprint — and replays it on concrete [`Value`]s thereafter.
+//! to a `ppe-vm` chunk once — keyed by its structural fingerprint
+//! ([`fingerprint_of`]) — and replays it on concrete [`Value`]s
+//! thereafter.
 //!
 //! # The lowering contract (what qualifies as "fully static")
 //!
@@ -165,9 +166,9 @@ pub struct StaticSubtree {
     /// Free variables in first-occurrence order — the parameters of the
     /// lowered chunk.
     pub params: Vec<Symbol>,
-    /// [`Term`](ppe_lang::Term) fingerprint of the subtree, computed on
-    /// the first backend call: most eligible nodes never fire (a free
-    /// variable is dynamic).
+    /// Structural fingerprint of the subtree, computed on the first
+    /// backend call: most eligible nodes never fire (a free variable is
+    /// dynamic).
     key: OnceCell<u64>,
     /// Node count: exactly the ticks the tree walk would spend on it.
     pub size: u64,
@@ -457,9 +458,8 @@ pub fn analyze(e: &Expr) -> Option<StaticSubtree> {
 }
 
 impl StaticSubtree {
-    /// The backend's cache key: the [`Term`](ppe_lang::Term) fingerprint
-    /// of `body`, the subtree these facts describe, by the plain walk
-    /// [`fingerprint_of`], which interns nothing and takes no lock.
+    /// The backend's cache key: the structural fingerprint
+    /// ([`fingerprint_of`]) of `body`, the subtree these facts describe.
     pub fn key(&self, body: &Expr) -> u64 {
         *self.key.get_or_init(|| fingerprint_of(body))
     }
@@ -547,7 +547,7 @@ mod tests {
     use ppe_core::facets::ContentsFacet;
     use ppe_core::{AbsVal, FacetSet};
     use ppe_lang::parse_program;
-    use ppe_lang::{Const, Term};
+    use ppe_lang::Const;
 
     fn body_of(src: &str) -> Expr {
         parse_program(src).unwrap().main().body.clone()
@@ -564,7 +564,7 @@ mod tests {
         // Memo answers by address.
         let again = memo.info(&e).expect("memo hit");
         assert_eq!(again.key(&e), info.key(&e));
-        assert_eq!(info.key(&e), Term::from_expr(&e).fingerprint());
+        assert_eq!(info.key(&e), fingerprint_of(&e));
     }
 
     #[test]

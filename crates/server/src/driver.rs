@@ -1,5 +1,5 @@
-//! The batch driver: a fixed pool of big-stack workers draining a
-//! work-stealing set of specialization requests.
+//! The batch driver: a fixed pool of big-stack workers sharing one cursor
+//! over a batch of specialization requests.
 //!
 //! Requests cross the thread boundary as plain data (see
 //! [`crate::request`]); each worker owns a private [`EngineContext`] and
@@ -7,7 +7,6 @@
 //! request's input slot, so the output order is the input order no matter
 //! which worker ran what.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::thread;
@@ -35,10 +34,10 @@ impl Default for BatchOptions {
 }
 
 /// Runs every request against `service`, returning responses in request
-/// order. With `jobs > 1`, requests are distributed round-robin over
-/// per-worker deques; an idle worker steals from the back of its
-/// neighbors' queues, so a batch of mixed cheap and expensive requests
-/// still keeps every worker busy.
+/// order. With `jobs > 1`, the workers share one cursor over the batch:
+/// a worker that comes free takes the next request no one has started, so
+/// a batch of mixed cheap and expensive requests still keeps every worker
+/// busy.
 pub fn run_batch(
     service: &SpecializeService,
     requests: &[SpecializeRequest],
@@ -53,47 +52,44 @@ pub fn run_batch(
             .collect();
     }
 
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, _) in requests.iter().enumerate() {
-        queues[i % jobs]
-            .lock()
-            .expect("queue poisoned")
-            .push_back(i);
-    }
+    let cursor = AtomicUsize::new(0);
     let results: Vec<Mutex<Option<SpecializeResponse>>> =
         requests.iter().map(|_| Mutex::new(None)).collect();
-    let remaining = AtomicUsize::new(requests.len());
-    service
-        .metrics()
-        .queue_depth
-        .store(requests.len() as u64, Relaxed);
+    let queue_depth = &service.metrics().queue_depth;
+    queue_depth.store(requests.len() as u64, Relaxed);
+    // One worker's loop: take the next unstarted request until none is left.
+    let work = || {
+        let mut ctx = EngineContext::new();
+        loop {
+            let index = cursor.fetch_add(1, Relaxed);
+            let Some(request) = requests.get(index) else {
+                return;
+            };
+            let response = service.handle(request, &mut ctx);
+            *results[index].lock().expect("result slot poisoned") = Some(response);
+            queue_depth.fetch_sub(1, Relaxed);
+        }
+    };
 
     thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(jobs);
+        let mut spawned = 0;
         for worker in 0..jobs {
-            let queues = &queues;
-            let results = &results;
-            let remaining = &remaining;
-            let spawned = thread::Builder::new()
+            let started = thread::Builder::new()
                 .name(format!("ppe-worker-{worker}"))
                 .stack_size(WORKER_STACK_BYTES)
-                .spawn_scoped(scope, move || {
-                    work(service, requests, queues, results, remaining, worker);
-                });
-            match spawned {
-                Ok(handle) => handles.push(handle),
+                .spawn_scoped(scope, work);
+            match started {
+                Ok(_) => spawned += 1,
                 // Out of threads: the workers already spawned (or, in the
-                // worst case, this thread below) will drain the queues.
+                // worst case, this thread below) will drain the batch.
                 Err(_) => break,
             }
         }
-        if handles.is_empty() {
-            work(service, requests, &queues, &results, &remaining, 0);
+        if spawned == 0 {
+            work();
         }
     });
 
-    service.metrics().queue_depth.store(0, Relaxed);
     results
         .into_iter()
         .map(|slot| {
@@ -102,51 +98,6 @@ pub fn run_batch(
                 .expect("every request was drained")
         })
         .collect()
-}
-
-/// One worker's drain loop: pop from the front of our own deque, and when
-/// it runs dry, steal from the *back* of the others — stolen work is the
-/// work its owner would have reached last, which keeps contention low.
-fn work(
-    service: &SpecializeService,
-    requests: &[SpecializeRequest],
-    queues: &[Mutex<VecDeque<usize>>],
-    results: &[Mutex<Option<SpecializeResponse>>],
-    remaining: &AtomicUsize,
-    me: usize,
-) {
-    let mut ctx = EngineContext::new();
-    loop {
-        let job = next_job(queues, me);
-        let Some(index) = job else {
-            if remaining.load(Relaxed) == 0 {
-                return;
-            }
-            // Another worker holds the last jobs; yield rather than spin.
-            thread::yield_now();
-            continue;
-        };
-        let response = service.handle(&requests[index], &mut ctx);
-        *results[index].lock().expect("result slot poisoned") = Some(response);
-        let left = remaining.fetch_sub(1, Relaxed) - 1;
-        service.metrics().queue_depth.store(left as u64, Relaxed);
-        if left == 0 {
-            return;
-        }
-    }
-}
-
-fn next_job(queues: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
-    if let Some(index) = queues[me].lock().expect("queue poisoned").pop_front() {
-        return Some(index);
-    }
-    for offset in 1..queues.len() {
-        let victim = (me + offset) % queues.len();
-        if let Some(index) = queues[victim].lock().expect("queue poisoned").pop_back() {
-            return Some(index);
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //!   eviction), an optional crash-safe disk [`PersistTier`] beneath it
 //!   (warm starts survive restarts; see `persist`), plus lock-free
 //!   [`Metrics`].
-//! - [`run_batch`] — a work-stealing batch driver over a fixed pool of
-//!   big-stack worker threads; responses come back in request order.
+//! - [`run_batch`] — a batch driver whose fixed pool of big-stack worker
+//!   threads share one cursor over the requests; responses come back in
+//!   request order.
 //! - [`serve()`] — a JSON-lines request/response loop (one line in, one line
 //!   out, in order) for driving the service from another process.
 //! - [`NetServer`] — the TCP front-end: the same line protocol per

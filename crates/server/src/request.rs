@@ -62,7 +62,8 @@ impl Engine {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ExecEngine {
     /// The bytecode compiler + register VM (`ppe-vm`), with a
-    /// process-wide chunk cache keyed by term fingerprints.
+    /// process-wide chunk cache keyed on the whole program's two
+    /// fingerprints.
     #[default]
     Vm,
     /// The AST evaluator — the differential oracle. Slower; useful for

@@ -3,10 +3,10 @@
 //! Compiled programs are keyed by two independent 64-bit fingerprints of
 //! the *whole* program: [`Program::fingerprint`] (spelling-stable) and
 //! [`Program::term_fingerprint`] (an FNV-1a combination of every
-//! definition's [`Term`](ppe_lang::Term) fingerprint and arity). Both are
-//! memoized on the program, so a parsed program shared through an `Arc`
-//! pays for them once, and both are plain walks: looking a program up
-//! interns none of its nodes. Editing any definition changes the key, so a
+//! definition's structural fingerprint, [`ppe_lang::term::fingerprint_of`],
+//! and arity). Both are memoized on the program, so a parsed program
+//! shared through an `Arc` pays for them once, and both are plain walks.
+//! Editing any definition changes the key, so a
 //! hit always returns chunks compiled from a program structurally equal to
 //! the caller's. Two independent hashes make an accidental collision in a
 //! bounded in-process cache vanishingly unlikely.
@@ -37,8 +37,7 @@ static SPEC_VM_EVALS: AtomicU64 = AtomicU64::new(0);
 static SPEC_VM_CHUNK_HITS: AtomicU64 = AtomicU64::new(0);
 static SPEC_VM_CHUNK_MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// Monotonic process-wide VM counters, in the mold of
-/// [`ppe_lang::interner_stats`].
+/// Monotonic process-wide VM counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VmStats {
     /// Chunks (function bodies) compiled to bytecode.
@@ -139,12 +138,13 @@ pub fn compile_cached(
 /// Namespace tag for specializer static-eval chunks in the shared map: a
 /// fixed first key component no real program fingerprint will collide with
 /// in practice (two independent 64-bit spaces; the second component is the
-/// subtree's own Term fingerprint, which is content-addressed and therefore
-/// stable across runs and safe under wholesale eviction).
+/// subtree's own structural fingerprint, which is content-addressed and
+/// therefore stable for the process and safe under wholesale eviction).
 const SPEC_MARKER: u64 = 0x5bec_e7a1_57a7_1c00;
 
 /// Compiles a specializer static-eval subtree through the shared chunk
-/// cache, keyed by the subtree's [`Term`](ppe_lang::Term) fingerprint.
+/// cache, keyed by the subtree's structural fingerprint
+/// ([`ppe_lang::term::fingerprint_of`]).
 ///
 /// The subtree is wrapped in a one-definition program whose parameters are
 /// the subtree's free variables in first-occurrence order — the calling

@@ -6,7 +6,7 @@
 //! the parity contract); this backend lowers each subtree once to a
 //! one-definition chunk and replays it on concrete values thereafter.
 //! Chunks live in the process-wide chunk cache under the subtree's
-//! hash-consed [`ppe_lang::term::Term`] fingerprint, fronted by a
+//! structural fingerprint ([`ppe_lang::term::fingerprint_of`]), fronted by a
 //! thread-local `(chunk, args) → outcome` memo so the steady-state hit
 //! (the same interpreter-loop subterm re-walked on the same static values
 //! once per unfolding) costs one `HashMap` probe and no lock.

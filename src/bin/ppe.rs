@@ -167,6 +167,88 @@ fn usage() -> String {
         .to_owned()
 }
 
+/// One command-line argument, as [`Args`] reads it.
+enum Arg<'a> {
+    /// A `--flag`, without any `=VALUE`; [`Args::value`] reads its value.
+    Flag(&'a str),
+    /// Any argument that does not start with `--`.
+    Positional(&'a str),
+}
+
+/// The flag reader every command parses its arguments with. A flag that
+/// takes a value accepts both `--flag VALUE` and `--flag=VALUE`; each
+/// parser rejects a `--flag` it does not know.
+struct Args<'a> {
+    args: std::slice::Iter<'a, String>,
+    /// The flag read last, and its `=VALUE` if it had one.
+    last: (&'a str, Option<&'a str>),
+}
+
+impl<'a> Args<'a> {
+    fn new(args: &'a [String]) -> Args<'a> {
+        Args {
+            args: args.iter(),
+            last: ("", None),
+        }
+    }
+
+    /// The value of the flag read last: its `=VALUE`, or else the next
+    /// argument.
+    fn value(&mut self) -> Result<&'a str, String> {
+        let (flag, inline) = self.last;
+        inline
+            .or_else(|| self.args.next().map(String::as_str))
+            .ok_or_else(|| format!("{flag} needs a value"))
+    }
+
+    /// The value of the flag read last as a number; `what` says which
+    /// numbers it takes, for the error.
+    fn number<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, String> {
+        let v = self.value()?;
+        v.parse()
+            .map_err(|_| format!("{} must be {what}, got `{v}`", self.last.0))
+    }
+
+    /// The value of the flag read last, one of `choices`; `what` lists
+    /// them, for the error.
+    fn choice<T: Copy>(&mut self, choices: &[(&str, T)], what: &str) -> Result<T, String> {
+        let v = self.value()?;
+        match choices.iter().find(|(name, _)| *name == v) {
+            Some(&(_, choice)) => Ok(choice),
+            None => Err(format!("{} must be {what}, got `{v}`", self.last.0)),
+        }
+    }
+}
+
+impl<'a> Iterator for Args<'a> {
+    type Item = Arg<'a>;
+
+    fn next(&mut self) -> Option<Arg<'a>> {
+        let arg = self.args.next()?.as_str();
+        if !arg.starts_with("--") {
+            return Some(Arg::Positional(arg));
+        }
+        self.last = match arg.split_once('=') {
+            Some((flag, v)) => (flag, Some(v)),
+            None => (arg, None),
+        };
+        Some(Arg::Flag(self.last.0))
+    }
+}
+
+/// What [`Args::number`] says a count or a budget takes.
+const NON_NEGATIVE: &str = "a non-negative integer";
+
+/// The error for a `--flag` the command does not take.
+fn unknown_option(flag: &str) -> String {
+    format!("unknown option `{flag}`\n{}", usage())
+}
+
+/// A comma-separated `--facets` list.
+fn facet_list(list: &str) -> Vec<String> {
+    list.split(',').map(|s| s.trim().to_owned()).collect()
+}
+
 /// Parsed command-line options.
 struct Opts {
     file: String,
@@ -237,95 +319,45 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut engine = ExecEngine::Ast;
     let mut spec_vm = true;
     let mut impact = false;
-    // Flags that take a value accept both `--flag VALUE` and `--flag=VALUE`.
-    let take_value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        let arg = &args[*i];
-        if let Some(v) = arg.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
-            return Ok(v.to_owned());
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            Arg::Positional(arg) if file.is_none() => file = Some(arg.to_owned()),
+            Arg::Positional(arg) => inputs.push(arg.to_owned()),
+            Arg::Flag("--facets") => facets = facet_list(args.value()?),
+            Arg::Flag("--offline") => offline = true,
+            Arg::Flag("--impact") => impact = true,
+            Arg::Flag("--constraints") => constraints = true,
+            Arg::Flag("--optimize") => optimize = true,
+            Arg::Flag("--polyvariant") => polyvariant = true,
+            Arg::Flag("--fuel") => fuel = Some(args.number(NON_NEGATIVE)?),
+            Arg::Flag("--deadline-ms") => deadline_ms = Some(args.number(NON_NEGATIVE)?),
+            Arg::Flag("--max-residual-size") => {
+                max_residual_size = Some(args.number(NON_NEGATIVE)?)
+            }
+            Arg::Flag("--on-exhaustion") => {
+                on_exhaustion = args.choice(
+                    &[
+                        ("fail", ExhaustionPolicy::Fail),
+                        ("degrade", ExhaustionPolicy::Degrade),
+                    ],
+                    "fail or degrade",
+                )?;
+            }
+            Arg::Flag("--format") => {
+                json = args.choice(&[("text", false), ("json", true)], "text or json")?;
+            }
+            Arg::Flag("--engine") => {
+                engine = args.choice(
+                    &[("ast", ExecEngine::Ast), ("vm", ExecEngine::Vm)],
+                    "vm or ast",
+                )?;
+            }
+            Arg::Flag("--spec-engine") => {
+                spec_vm = args.choice(&[("vm", true), ("ast", false)], "vm or ast")?;
+            }
+            Arg::Flag(flag) => return Err(unknown_option(flag)),
         }
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        let flag = arg.split('=').next().unwrap_or(&arg);
-        match flag {
-            "--facets" => {
-                let list = take_value(args, &mut i, "--facets")?;
-                facets = list.split(',').map(|s| s.trim().to_owned()).collect();
-            }
-            "--offline" => offline = true,
-            "--impact" => impact = true,
-            "--constraints" => constraints = true,
-            "--optimize" => optimize = true,
-            "--polyvariant" => polyvariant = true,
-            "--fuel" => {
-                let v = take_value(args, &mut i, "--fuel")?;
-                fuel =
-                    Some(v.parse::<u64>().map_err(|_| {
-                        format!("--fuel must be a non-negative integer, got `{v}`")
-                    })?);
-            }
-            "--deadline-ms" => {
-                let v = take_value(args, &mut i, "--deadline-ms")?;
-                deadline_ms = Some(v.parse::<u64>().map_err(|_| {
-                    format!("--deadline-ms must be a non-negative integer, got `{v}`")
-                })?);
-            }
-            "--max-residual-size" => {
-                let v = take_value(args, &mut i, "--max-residual-size")?;
-                max_residual_size = Some(v.parse::<usize>().map_err(|_| {
-                    format!("--max-residual-size must be a non-negative integer, got `{v}`")
-                })?);
-            }
-            "--on-exhaustion" => {
-                let v = take_value(args, &mut i, "--on-exhaustion")?;
-                on_exhaustion = match v.as_str() {
-                    "fail" => ExhaustionPolicy::Fail,
-                    "degrade" => ExhaustionPolicy::Degrade,
-                    other => {
-                        return Err(format!(
-                            "--on-exhaustion must be fail or degrade, got `{other}`"
-                        ))
-                    }
-                };
-            }
-            "--format" => {
-                let v = take_value(args, &mut i, "--format")?;
-                json = match v.as_str() {
-                    "text" => false,
-                    "json" => true,
-                    other => return Err(format!("--format must be text or json, got `{other}`")),
-                };
-            }
-            "--engine" => {
-                let v = take_value(args, &mut i, "--engine")?;
-                engine = match v.as_str() {
-                    "ast" => ExecEngine::Ast,
-                    "vm" => ExecEngine::Vm,
-                    other => return Err(format!("--engine must be vm or ast, got `{other}`")),
-                };
-            }
-            "--spec-engine" => {
-                let v = take_value(args, &mut i, "--spec-engine")?;
-                spec_vm = match v.as_str() {
-                    "vm" => true,
-                    "ast" => false,
-                    other => return Err(format!("--spec-engine must be vm or ast, got `{other}`")),
-                };
-            }
-            _ => {
-                if file.is_none() {
-                    file = Some(arg.clone());
-                } else {
-                    inputs.push(arg.clone());
-                }
-            }
-        }
-        i += 1;
     }
     Ok(Opts {
         file: file.ok_or_else(|| format!("missing program file\n{}", usage()))?,
@@ -672,33 +704,17 @@ fn emit_check_report(opts: &Opts, report: &CheckReport) -> Result<(), String> {
 /// pool. Exits nonzero if any facet fails any obligation.
 fn cmd_verify_facets(args: &[String]) -> Result<(), String> {
     let mut names: Vec<String> = ALL_FACETS.iter().map(|s| s.to_string()).collect();
-    let take_value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        let arg = &args[*i];
-        if let Some(v) = arg.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
-            return Ok(v.to_owned());
-        }
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        let flag = arg.split('=').next().unwrap_or(&arg);
-        match flag {
-            "--facets" => {
-                let list = take_value(args, &mut i, "--facets")?;
-                names = list.split(',').map(|s| s.trim().to_owned()).collect();
-            }
-            other => {
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            Arg::Flag("--facets") => names = facet_list(args.value()?),
+            Arg::Flag(other) | Arg::Positional(other) => {
                 return Err(format!(
                     "verify-facets does not take `{other}`\n{}",
                     usage()
                 ))
             }
         }
-        i += 1;
     }
     let facets = build_facets(&names)?;
     let candidates = default_candidates();
@@ -781,70 +797,33 @@ fn parse_server_opts(args: &[String]) -> Result<ServerOpts, String> {
         request_deadline_ms: None,
         positional: Vec::new(),
     };
-    let take_value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        let arg = &args[*i];
-        if let Some(v) = arg.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
-            return Ok(v.to_owned());
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            Arg::Positional(arg) => opts.positional.push(arg.to_owned()),
+            Arg::Flag("--jobs") => opts.jobs = args.number("a positive integer")?,
+            Arg::Flag("--cache-mb") => opts.cache_mb = args.number(NON_NEGATIVE)?,
+            Arg::Flag("--program") => opts.program = Some(args.value()?.to_owned()),
+            Arg::Flag("--cache-dir") => opts.cache_dir = Some(args.value()?.to_owned()),
+            Arg::Flag("--listen") => opts.listen = Some(args.value()?.to_owned()),
+            Arg::Flag("--max-connections") => {
+                opts.max_connections = args.number("a positive integer")?;
+            }
+            Arg::Flag("--request-deadline-ms") => {
+                opts.request_deadline_ms = Some(args.number(NON_NEGATIVE)?);
+            }
+            Arg::Flag("--cache-mode") => {
+                opts.cache_mode = args.choice(
+                    &[
+                        ("rw", CacheMode::ReadWrite),
+                        ("ro", CacheMode::ReadOnly),
+                        ("off", CacheMode::Off),
+                    ],
+                    "rw, ro, or off",
+                )?;
+            }
+            Arg::Flag(flag) => return Err(unknown_option(flag)),
         }
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        let flag = arg.split('=').next().unwrap_or(&arg);
-        match flag {
-            "--jobs" => {
-                let v = take_value(args, &mut i, "--jobs")?;
-                opts.jobs = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--jobs must be a positive integer, got `{v}`"))?;
-            }
-            "--cache-mb" => {
-                let v = take_value(args, &mut i, "--cache-mb")?;
-                opts.cache_mb = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--cache-mb must be a non-negative integer, got `{v}`"))?;
-            }
-            "--program" => {
-                opts.program = Some(take_value(args, &mut i, "--program")?);
-            }
-            "--cache-dir" => {
-                opts.cache_dir = Some(take_value(args, &mut i, "--cache-dir")?);
-            }
-            "--listen" => {
-                opts.listen = Some(take_value(args, &mut i, "--listen")?);
-            }
-            "--max-connections" => {
-                let v = take_value(args, &mut i, "--max-connections")?;
-                opts.max_connections = v.parse::<usize>().map_err(|_| {
-                    format!("--max-connections must be a positive integer, got `{v}`")
-                })?;
-            }
-            "--request-deadline-ms" => {
-                let v = take_value(args, &mut i, "--request-deadline-ms")?;
-                opts.request_deadline_ms = Some(v.parse::<u64>().map_err(|_| {
-                    format!("--request-deadline-ms must be a non-negative integer, got `{v}`")
-                })?);
-            }
-            "--cache-mode" => {
-                let v = take_value(args, &mut i, "--cache-mode")?;
-                opts.cache_mode = match v.as_str() {
-                    "rw" => CacheMode::ReadWrite,
-                    "ro" => CacheMode::ReadOnly,
-                    "off" => CacheMode::Off,
-                    other => {
-                        return Err(format!(
-                            "--cache-mode must be rw, ro, or off, got `{other}`"
-                        ))
-                    }
-                };
-            }
-            _ => opts.positional.push(arg),
-        }
-        i += 1;
     }
     Ok(opts)
 }
@@ -883,11 +862,19 @@ fn report_disk_faults(service: &SpecializeService) {
 /// whatever `--jobs` is.
 fn cmd_batch(args: &[String]) -> Result<(), String> {
     let opts = parse_server_opts(args)?;
-    let Some(path) = opts.positional.first() else {
-        return Err(format!(
-            "batch needs a requests file (or `-` for stdin)\n{}",
-            usage()
-        ));
+    let path = match opts.positional.as_slice() {
+        [path] => path,
+        [] => {
+            return Err(format!(
+                "batch needs a requests file (or `-` for stdin)\n{}",
+                usage()
+            ))
+        }
+        [_, extra, ..] => {
+            return Err(format!(
+                "batch takes one requests file, got a second `{extra}`"
+            ))
+        }
     };
     let text = if path == "-" {
         use std::io::Read as _;
@@ -1137,44 +1124,22 @@ fn parse_cache_opts(args: &[String]) -> Result<CacheOpts, String> {
         purge_quarantine: false,
         stale_against: None,
     };
-    let take_value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        let arg = &args[*i];
-        if let Some(v) = arg.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
-            return Ok(v.to_owned());
-        }
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        let flag = arg.split('=').next().unwrap_or(&arg);
-        match flag {
-            "--cache-dir" => opts.cache_dir = Some(take_value(args, &mut i, "--cache-dir")?),
-            "--max-bytes" => {
-                let v = take_value(args, &mut i, "--max-bytes")?;
-                opts.max_bytes = Some(v.parse::<u64>().map_err(|_| {
-                    format!("--max-bytes must be a non-negative integer, got `{v}`")
-                })?);
-            }
-            "--purge-quarantine" => opts.purge_quarantine = true,
-            "--stale-against" => {
-                opts.stale_against = Some(take_value(args, &mut i, "--stale-against")?);
-            }
-            _ if flag.starts_with("--") => {
-                return Err(format!("unknown cache option `{flag}`\n{}", usage()))
-            }
-            _ => {
-                if opts.file.replace(arg.clone()).is_some() {
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            Arg::Positional(arg) => {
+                if opts.file.replace(arg.to_owned()).is_some() {
                     return Err(format!(
                         "cache takes one FILE argument, got a second `{arg}`"
                     ));
                 }
             }
+            Arg::Flag("--cache-dir") => opts.cache_dir = Some(args.value()?.to_owned()),
+            Arg::Flag("--max-bytes") => opts.max_bytes = Some(args.number(NON_NEGATIVE)?),
+            Arg::Flag("--purge-quarantine") => opts.purge_quarantine = true,
+            Arg::Flag("--stale-against") => opts.stale_against = Some(args.value()?.to_owned()),
+            Arg::Flag(flag) => return Err(format!("unknown cache option `{flag}`\n{}", usage())),
         }
-        i += 1;
     }
     Ok(opts)
 }
@@ -1195,6 +1160,7 @@ mod tests {
         let opts = parse_server_opts(&to_args(&["-", "--program", "p.sexp"])).unwrap();
         assert_eq!(opts.program.as_deref(), Some("p.sexp"));
         assert!(parse_server_opts(&to_args(&["--jobs", "many"])).is_err());
+        assert!(parse_server_opts(&to_args(&["reqs.jsonl", "--jbos", "4"])).is_err());
     }
 
     #[test]
@@ -1273,6 +1239,11 @@ mod tests {
         assert!(opts.impact);
         assert_eq!(opts.file, "old.sexp");
         assert_eq!(opts.inputs, vec!["new.sexp"]);
+        let args: Vec<String> = ["prog.sexp", "5", "--ofline"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert!(parse_opts(&args).is_err());
     }
 
     #[test]

@@ -178,3 +178,24 @@ fn type_facet_is_available_from_the_cli() {
     assert!(ok, "{stderr}");
     assert!(stdout.contains("f:"), "{stdout}");
 }
+
+/// A misspelled flag is an error, not a file name, and `batch` reads one
+/// requests file.
+#[test]
+fn batch_rejects_unknown_flags_and_a_second_file() {
+    let line = r#"{"program": "(define (f x) x)", "inputs": ["_"]}"#;
+    let reqs = write_program("reqs.jsonl", line);
+    let extra = write_program("extra.jsonl", line);
+    let (reqs, extra) = (reqs.to_str().unwrap(), extra.to_str().unwrap());
+    let (ok, _, stderr) = ppe(&["batch", reqs, "--jbos", "4", extra]);
+    assert!(!ok, "{stderr}");
+    assert!(stderr.contains("unknown option `--jbos`"), "{stderr}");
+
+    let (ok, _, stderr) = ppe(&["batch", reqs, extra]);
+    assert!(!ok, "{stderr}");
+    assert!(stderr.contains("got a second"), "{stderr}");
+
+    let (ok, stdout, stderr) = ppe(&["batch", reqs, "--jobs=2"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains(";; request 0\n"), "{stdout}");
+}
