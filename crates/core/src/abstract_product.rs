@@ -390,13 +390,7 @@ impl AbstractProductVal {
 
     /// Renders the product as the paper's `⟨Dyn, s⟩` tuples (Figure 9).
     pub fn display(&self) -> String {
-        let mut s = format!("⟨{}", self.0.bt);
-        for v in &self.0.facets {
-            s.push_str(", ");
-            s.push_str(&v.to_string());
-        }
-        s.push('⟩');
-        s
+        self.to_string()
     }
 }
 
@@ -427,7 +421,11 @@ impl fmt::Debug for AbstractProductVal {
 
 impl fmt::Display for AbstractProductVal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.display())
+        write!(f, "⟨{}", self.0.bt)?;
+        for v in &self.0.facets {
+            write!(f, ", {v}")?;
+        }
+        f.write_str("⟩")
     }
 }
 

@@ -415,13 +415,7 @@ impl ProductVal {
 
     /// Renders the product as the paper's `⟨v₁, …, vₘ⟩` tuples (Figure 9).
     pub fn display(&self) -> String {
-        let mut s = format!("⟨{}", self.0.pe);
-        for v in &self.0.facets {
-            s.push_str(", ");
-            s.push_str(&v.to_string());
-        }
-        s.push('⟩');
-        s
+        self.to_string()
     }
 }
 
@@ -452,7 +446,11 @@ impl fmt::Debug for ProductVal {
 
 impl fmt::Display for ProductVal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.display())
+        write!(f, "⟨{}", self.0.pe)?;
+        for v in &self.0.facets {
+            write!(f, ", {v}")?;
+        }
+        f.write_str("⟩")
     }
 }
 

@@ -57,7 +57,7 @@ pub use opt::{
 pub use parser::{parse_defs, parse_expr, parse_program};
 pub use pretty::{pretty_expr, pretty_program};
 pub use prim::{Prim, StdOpClass, ALL_PRIMS, MAX_VECTOR_SIZE};
-pub use program::{FunDef, Program};
+pub use program::{FunDef, Program, ProgramFacts};
 pub use symbol::Symbol;
 pub use term::{interner_stats, InternerStats};
 pub use value::{ClosureData, Value};

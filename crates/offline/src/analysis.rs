@@ -21,7 +21,7 @@ use ppe_core::{AbstractFacetSet, AbstractProductVal, BtVal, FacetSet, ProductVal
 use ppe_lang::{Expr, Program, Symbol};
 use ppe_online::{DegradationReport, Governor, PeConfig};
 
-use crate::annotate::{AnnExpr, AnnFunDef, AnnKind, CallAction, PrimAction};
+use crate::annotate::{AnnExpr, AnnFunDef, AnnKind, CallAction, PrimAction, Shortcut};
 use crate::error::OfflineError;
 use crate::signature::{FacetSignature, SigEnv};
 
@@ -131,8 +131,10 @@ impl AbstractInput {
 }
 
 /// Abstracts an online product into the offline domain: `τ̄` on the PE
-/// component, `ᾱᵢ` on each facet component.
-pub(crate) fn abstract_of_product(p: &ProductVal, aset: &AbstractFacetSet) -> AbstractProductVal {
+/// component, `ᾱᵢ` on each facet component. Analysis sees an
+/// [`AbstractInput::OfProduct`] input only through this abstraction, so
+/// products that abstract alike share one analysis (Definition 8).
+pub fn abstract_of_product(p: &ProductVal, aset: &AbstractFacetSet) -> AbstractProductVal {
     let bt = BtVal::from_pe(p.pe());
     let facets: Vec<ppe_core::AbsVal> = p
         .facet_components()
@@ -475,6 +477,7 @@ fn annotate(
         Expr::Const(c) => AnnExpr {
             value: AbstractProductVal::from_const(*c, aset),
             kind: AnnKind::Const(*c),
+            shortcut: Shortcut::default(),
         },
         Expr::Var(x) => AnnExpr {
             value: env
@@ -484,6 +487,7 @@ fn annotate(
                 .map(|(_, v)| v.clone())
                 .unwrap_or_else(|| AbstractProductVal::bottom(aset)),
             kind: AnnKind::Var(*x),
+            shortcut: Shortcut::default(),
         },
         Expr::Prim(p, args) => {
             let ann_args: Vec<AnnExpr> = args.iter().map(|a| annotate(a, env, sig, aset)).collect();
@@ -505,6 +509,7 @@ fn annotate(
                     args: ann_args,
                     action,
                 },
+                shortcut: Shortcut::default(),
             }
         }
         Expr::If(c, t, f) => {
@@ -528,6 +533,7 @@ fn annotate(
                     else_branch: Box::new(else_branch),
                     static_cond,
                 },
+                shortcut: Shortcut::default(),
             }
         }
         Expr::Let(x, b, body) => {
@@ -542,6 +548,7 @@ fn annotate(
                     bound: Box::new(bound),
                     body: Box::new(body_ann),
                 },
+                shortcut: Shortcut::default(),
             }
         }
         Expr::Call(f, args) => {
@@ -568,6 +575,7 @@ fn annotate(
                     args: ann_args,
                     action,
                 },
+                shortcut: Shortcut::default(),
             }
         }
         Expr::Lambda(..) | Expr::App(..) | Expr::FnRef(_) => {

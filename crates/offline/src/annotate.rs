@@ -9,8 +9,12 @@
 //! trigger computations, but it also selects the corresponding reduction
 //! operations prior to specialization" (Section 1).
 
+use std::cell::OnceCell;
+use std::fmt;
+
 use ppe_core::AbstractProductVal;
 use ppe_lang::{Const, Prim, Symbol};
+use ppe_online::spec_eval::StaticSubtree;
 
 /// What the specializer does at a primitive application.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,6 +48,33 @@ pub struct AnnExpr {
     pub value: AbstractProductVal,
     /// The annotated node.
     pub kind: AnnKind,
+    /// The node's static-evaluation facts, computed on first use and kept
+    /// with the analysis, so every run the analysis serves shares them.
+    pub(crate) shortcut: Shortcut,
+}
+
+/// A lazily computed [`StaticSubtree`] for one annotated node. It caches
+/// a function of the node, so a clone starts empty and equality ignores
+/// it.
+#[derive(Default)]
+pub(crate) struct Shortcut(pub(crate) OnceCell<Option<StaticSubtree>>);
+
+impl Clone for Shortcut {
+    fn clone(&self) -> Shortcut {
+        Shortcut::default()
+    }
+}
+
+impl PartialEq for Shortcut {
+    fn eq(&self, _: &Shortcut) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for Shortcut {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Shortcut")
+    }
 }
 
 /// The node alternatives of [`AnnExpr`].

@@ -55,7 +55,8 @@ mod signature;
 mod specialize;
 
 pub use analysis::{
-    analyze, analyze_fn, analyze_fn_with_config, analyze_with_config, AbstractInput, Analysis,
+    abstract_of_product, analyze, analyze_fn, analyze_fn_with_config, analyze_with_config,
+    AbstractInput, Analysis,
 };
 pub use annotate::{AnnExpr, AnnFunDef, AnnKind, CallAction, PrimAction};
 pub use error::OfflineError;

@@ -95,7 +95,7 @@ pub struct OfflinePe<'a> {
 /// Run state: the builder keyed, like the online engine's, by products of
 /// facet values, whose result product preserves facet information across
 /// folded calls.
-type St = ResidualBuilder<Vec<ProductVal>, ProductVal>;
+type St<'p> = ResidualBuilder<'p, Vec<ProductVal>, ProductVal>;
 
 /// Rebuilds the plain expression under an annotated subtree, `None` as soon
 /// as any node falls outside the shortcut grammar: only constants,
@@ -141,12 +141,15 @@ impl StaticNode for AnnExpr {
         matches!(&self.kind, AnnKind::Prim { .. } | AnnKind::Let { .. })
     }
 
-    fn subtree(&self) -> Option<StaticSubtree> {
-        strip_static(self).and_then(spec_eval::analyze_owned)
-    }
-
     fn as_expr(&self) -> Option<&Expr> {
         None
+    }
+
+    fn subtree(&self) -> Option<&StaticSubtree> {
+        self.shortcut
+            .0
+            .get_or_init(|| strip_static(self).and_then(spec_eval::analyze_owned))
+            .as_ref()
     }
 }
 

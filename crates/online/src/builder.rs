@@ -26,7 +26,7 @@ use crate::config::PeConfig;
 use crate::error::PeError;
 use crate::governor::Governor;
 use crate::input::{PeStats, Residual};
-use crate::spec_eval::{SpecState, StaticNode};
+use crate::spec_eval::{self, SpecState, StaticNode};
 
 /// The specialization environment `ρ : Var → (Exp × V)`, scoped as a
 /// stack: each source variable maps to its residual expression and to what
@@ -146,9 +146,10 @@ pub enum Probe<P, V> {
     Miss(Symbol, P),
 }
 
-/// Mutable state of one specialization run.
+/// Mutable state of one specialization run over a program that outlives
+/// it (`'p`).
 #[derive(Debug)]
-pub struct ResidualBuilder<P, V> {
+pub struct ResidualBuilder<'p, P, V> {
     /// `Sf`: pattern → (residual name, result value once known).
     sf: HashMap<(Symbol, P), (Symbol, Option<V>)>,
     max_specializations: usize,
@@ -163,32 +164,35 @@ pub struct ResidualBuilder<P, V> {
     /// Budget accounting for the run.
     pub gov: Governor,
     /// Shortcut state when [`PeConfig::spec_eval`] installs a backend.
-    spec: Option<SpecState>,
+    spec: Option<SpecState<'p>>,
 }
 
-impl<P: Clone + Eq + Hash, V: Clone> ResidualBuilder<P, V> {
-    /// A builder for one run of `program` under `config`. `contents_idx`
+impl<'p, P: Clone + Eq + Hash, V: Clone> ResidualBuilder<'p, P, V> {
+    /// A builder for one run of `program` under `config`: the walk visits
+    /// `program`'s nodes, whose [`Program::facts`] it reads. `contents_idx`
     /// is the index of the `contents` facet when the engine's environment
     /// carries products that may pin a vector; the static-evaluation
     /// driver then reifies such vectors as arguments.
     pub fn new(
         config: &PeConfig,
-        program: &Program,
+        program: &'p Program,
         contents_idx: Option<usize>,
-    ) -> ResidualBuilder<P, V> {
+    ) -> ResidualBuilder<'p, P, V> {
+        let facts = program.facts();
         ResidualBuilder {
             sf: HashMap::new(),
             max_specializations: config.max_specializations,
             def_order: Vec::new(),
             defs: HashMap::new(),
-            names: reserved_names(program),
+            // Residual names avoid every name the source spells.
+            names: facts.names.clone(),
             tmp_counter: 0,
             stats: PeStats::default(),
             gov: Governor::new(config),
             spec: config
                 .spec_eval
                 .clone()
-                .map(|backend| SpecState::new(backend, contents_idx)),
+                .map(|backend| SpecState::new(backend, &facts.eligibility, contents_idx)),
         }
     }
 
@@ -397,7 +401,7 @@ impl<P: Clone + Eq + Hash, V: Clone> ResidualBuilder<P, V> {
         let Some(spec) = self.spec.as_mut() else {
             return Ok(None);
         };
-        let Some(info) = spec.memo.info(node) else {
+        let Some((info, body)) = spec_eval::lookup(spec.source, &mut spec.memo, node) else {
             return Ok(None);
         };
         // Fire only where the walk would finish the subtree without
@@ -431,9 +435,6 @@ impl<P: Clone + Eq + Hash, V: Clone> ResidualBuilder<P, V> {
                 _ => return Ok(None),
             }
         }
-        let Some(body) = info.body.as_ref().or_else(|| node.as_expr()) else {
-            return Ok(None);
-        };
         let Some(out) = spec
             .backend
             .eval(info.key(body), body, &info.params, &spec.args_buf)
@@ -451,10 +452,10 @@ impl<P: Clone + Eq + Hash, V: Clone> ResidualBuilder<P, V> {
     }
 
     /// Keeps `lambda`, a residual `λ` whose body the walk has just
-    /// β-reduced, alive until the run ends. The shortcut's eligibility memo
-    /// identifies nodes by address, which is sound only while no other node
-    /// can be allocated at an address it has seen: source nodes outlive the
-    /// run, and a dropped residual body would free its addresses for reuse.
+    /// β-reduced, alive until the run ends. The shortcut's per-run memo
+    /// identifies such bodies' nodes by address, which is sound only while
+    /// no other node can be allocated at an address it has seen: a dropped
+    /// residual body would free its addresses for reuse.
     pub fn retain_walked(&mut self, lambda: Expr) {
         if let Some(spec) = self.spec.as_mut() {
             spec.walked.push(lambda);
@@ -472,7 +473,7 @@ impl<P: Clone + Eq + Hash, V: Clone> ResidualBuilder<P, V> {
     }
 }
 
-impl ResidualBuilder<Vec<ProductVal>, ProductVal> {
+impl ResidualBuilder<'_, Vec<ProductVal>, ProductVal> {
     /// `Sf` with instantiation and folding for the parameterized engines:
     /// the residual name of `f` specialized at the product `pattern`, and
     /// the value of a call to it. On a miss, `walk` specializes the body of
@@ -513,47 +514,6 @@ impl ResidualBuilder<Vec<ProductVal>, ProductVal> {
         self.complete(f, pattern, def, value.clone())?;
         Ok((name, value))
     }
-}
-
-/// Names minted residual names must avoid: every function name, parameter
-/// and binder of the source program, and any free variable of a body.
-fn reserved_names(program: &Program) -> HashSet<Symbol> {
-    fn binders(e: &Expr, out: &mut HashSet<Symbol>) {
-        match e {
-            Expr::Const(_) | Expr::Var(_) | Expr::FnRef(_) => {}
-            Expr::Prim(_, args) | Expr::Call(_, args) => {
-                args.iter().for_each(|a| binders(a, out));
-            }
-            Expr::If(a, b, c) => {
-                binders(a, out);
-                binders(b, out);
-                binders(c, out);
-            }
-            Expr::Let(x, a, b) => {
-                out.insert(*x);
-                binders(a, out);
-                binders(b, out);
-            }
-            Expr::Lambda(ps, b) => {
-                out.extend(ps.iter().copied());
-                binders(b, out);
-            }
-            Expr::App(f, args) => {
-                binders(f, out);
-                args.iter().for_each(|a| binders(a, out));
-            }
-        }
-    }
-    let mut out = HashSet::new();
-    for d in program.defs() {
-        out.insert(d.name);
-        out.extend(d.params.iter().copied());
-        let mut free = Vec::new();
-        d.body.free_vars(&mut free);
-        out.extend(free);
-        binders(&d.body, &mut out);
-    }
-    out
 }
 
 /// Mints `base_n` for the least `n ≥ 1` not in `names`, and reserves it.

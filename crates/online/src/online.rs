@@ -40,7 +40,7 @@ type PeEnv = Env<ProductVal>;
 /// `(function, product pattern)` to the residual name and, once known, the
 /// result product, which lets callers keep facet information across folded
 /// calls).
-type St = ResidualBuilder<Vec<ProductVal>, ProductVal>;
+type St<'p> = ResidualBuilder<'p, Vec<ProductVal>, ProductVal>;
 
 impl<'a> OnlinePe<'a> {
     /// Creates a specializer for `program` parameterized by `facets`, with

@@ -53,7 +53,7 @@ pub struct SimplePe<'a> {
 
 /// Run state. The simple evaluator specializes each function once, at the
 /// fully dynamic pattern, so its `Sf` key is the function alone.
-type St = ResidualBuilder<(), ()>;
+type St<'p> = ResidualBuilder<'p, (), ()>;
 
 impl<'a> SimplePe<'a> {
     /// Creates a simple partial evaluator with the default policy.

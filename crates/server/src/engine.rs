@@ -44,11 +44,12 @@ fn effective_config(req: &SpecializeRequest) -> PeConfig {
 }
 
 /// Per-worker state that outlives single requests: the offline engine's
-/// analysis cache. Keyed by [`analysis_key`], so one worker that sees a
-/// stream of requests against the same program and abstract inputs runs
-/// facet analysis once and reuses the signatures for every subsequent
-/// specialization (the satellite of arXiv:1908.07189's observation that
-/// polyvariant workloads repeat abstract properties).
+/// analysis cache. Keyed by [`analysis_key`], the request's facet
+/// signature (closure, entry, facets, each input's abstract product,
+/// deadline and policy), so one worker runs facet analysis once per
+/// signature and reuses it for every later request whose inputs abstract
+/// alike, whatever their static values, other budgets or optimizer flag:
+/// Section 5's split of analysis from specialization (Definition 8).
 #[derive(Default)]
 pub struct EngineContext {
     analyses: HashMap<CacheKey, Rc<Analysis>>,
@@ -297,9 +298,9 @@ fn cached_analysis(
     .map_err(|e| e.to_string())?;
     metrics.analysis_misses.fetch_add(1, Relaxed);
     let analysis = Rc::new(analysis);
-    // The analysis cache is bounded by distinct (program, inputs, policy)
-    // combinations a worker sees; cap it so a serve loop fed unbounded
-    // distinct programs cannot grow without limit.
+    // The analysis cache is bounded by the distinct facet signatures a
+    // worker sees; cap it so a serve loop fed unbounded distinct programs
+    // cannot grow without limit.
     if ctx.analyses.len() >= 256 {
         ctx.analyses.clear();
     }

@@ -171,7 +171,20 @@ impl Json {
     }
 }
 
-fn write_json_string(s: &str, out: &mut String) {
+/// Writes `n` exactly as [`Json::num`]`(n)` renders: `Json::num` stores
+/// `n as f64`, which is exact below 9·10¹⁵ and renders as the integer;
+/// from there on the rounded float renders.
+pub(crate) fn write_json_u64(n: u64, out: &mut String) {
+    use fmt::Write as _;
+    if n < 9_000_000_000_000_000 {
+        let _ = write!(out, "{n}");
+    } else {
+        let _ = write!(out, "{}", n as f64);
+    }
+}
+
+/// Writes `s` as a JSON string literal, as [`Json::Str`] renders.
+pub(crate) fn write_json_string(s: &str, out: &mut String) {
     use fmt::Write as _;
     out.reserve(s.len() + 2);
     out.push('"');

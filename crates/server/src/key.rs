@@ -14,13 +14,20 @@
 //! canonical `Display` rendering of each product component. Two
 //! processes (or two threads racing through different interner states)
 //! therefore agree on every key.
+//!
+//! An offline facet analysis is determined by less: the *abstractions*
+//! of the products, the deadline and the exhaustion policy. Its key
+//! ([`analysis_key`]) hashes only those, so requests that differ in their
+//! static values or other budgets share one analysis.
 
 use std::fmt;
 
 use ppe_core::ProductVal;
+use ppe_offline::abstract_of_product;
 use ppe_online::{ExhaustionPolicy, PeConfig};
 
 use crate::request::Engine;
+use crate::spec::build_facets;
 
 /// A 128-bit FNV-1a content hash identifying one specialization request
 /// up to residual-equality.
@@ -91,19 +98,36 @@ fn write_config(h: &mut KeyHasher, config: &PeConfig, optimize: bool) {
     h.write_u64(u64::from(config.propagate_constraints));
     h.write_u64(u64::from(config.check_consistency));
     h.write_u64(config.max_residual_size as u64);
+    write_deadline(h, config);
+    h.write_u64(u64::from(config.max_recursion_depth));
+    write_policy(h, config);
+    h.write_u64(u64::from(optimize));
+}
+
+fn write_deadline(h: &mut KeyHasher, config: &PeConfig) {
     match config.deadline {
-        // Deadline-degraded residuals are wall-clock dependent; the key
+        // Deadline-degraded results are wall-clock dependent; the key
         // still includes the budget so differently-budgeted requests never
         // share an entry (see DESIGN.md on why caching them is sound).
         Some(d) => h.write_u64(1 + d.as_millis() as u64),
         None => h.write_u64(0),
     }
-    h.write_u64(u64::from(config.max_recursion_depth));
+}
+
+fn write_policy(h: &mut KeyHasher, config: &PeConfig) {
     h.write_u64(match config.on_exhaustion {
         ExhaustionPolicy::Fail => 0,
         ExhaustionPolicy::Degrade => 1,
     });
-    h.write_u64(u64::from(optimize));
+}
+
+/// Hashes the `Display` rendering of `value`, written into `buf`: one
+/// buffer serves every product of a key.
+fn write_rendered(h: &mut KeyHasher, buf: &mut String, value: &dyn fmt::Display) {
+    use fmt::Write as _;
+    buf.clear();
+    let _ = write!(buf, "{value}");
+    h.write_str(buf);
 }
 
 /// Builds the residual-cache key for one fully resolved request.
@@ -134,16 +158,27 @@ pub fn residual_key(
         h.write_str(name);
     }
     h.write_u64(products.len() as u64);
+    let mut buf = String::new();
     for p in products {
-        h.write_str(&p.to_string());
+        write_rendered(&mut h, &mut buf, p);
     }
     write_config(&mut h, config, optimize);
     h.finish()
 }
 
-/// Builds the analysis-cache key (offline engine): like
-/// [`residual_key`] but without the optimizer flag — the optimizer runs
-/// after specialization and cannot change what the analysis computes.
+/// Builds the analysis-cache key (offline engine) from the request's
+/// *facet signature*: the closure fingerprint, the entry, the facet names,
+/// each input's abstract product ([`abstract_of_product`]: `τ̄` on the PE
+/// component, `ᾱᵢ` on each facet), and of the config only the deadline and
+/// the exhaustion policy. That is everything facet analysis reads, so two
+/// requests whose concrete inputs abstract alike share one analysis
+/// whatever their static values, budgets or optimizer flag (Definition 8:
+/// one analysis per abstract input serves every concrete one).
+///
+/// `products` are lowered as for [`residual_key`]. The facet set is
+/// rebuilt from `facet_names`; should a name be unknown, or a product not
+/// match the set, that product is hashed concretely instead, which can
+/// only split keys, never merge them.
 pub fn analysis_key(
     closure_fingerprint: u64,
     entry: &str,
@@ -151,7 +186,7 @@ pub fn analysis_key(
     products: &[ProductVal],
     config: &PeConfig,
 ) -> CacheKey {
-    let mut h = KeyHasher::new("ppe-analysis-v2");
+    let mut h = KeyHasher::new("ppe-analysis-v3");
     h.write_u64(closure_fingerprint);
     h.write_str(entry);
     h.write_u64(facet_names.len() as u64);
@@ -159,17 +194,34 @@ pub fn analysis_key(
         h.write_str(name);
     }
     h.write_u64(products.len() as u64);
+    let aset = build_facets(facet_names).ok().map(|f| f.abstract_set());
+    let mut buf = String::new();
     for p in products {
-        h.write_str(&p.to_string());
+        match &aset {
+            Some(aset) if aset.len() == p.facet_components().len() => {
+                h.write_u64(0);
+                write_rendered(&mut h, &mut buf, &abstract_of_product(p, aset));
+            }
+            _ => {
+                h.write_u64(1);
+                write_rendered(&mut h, &mut buf, p);
+            }
+        }
     }
-    write_config(&mut h, config, false);
+    write_deadline(&mut h, config);
+    write_policy(&mut h, config);
     h.finish()
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+    use std::time::Duration;
+
+    use ppe_core::AbstractProductVal;
+
     use super::*;
-    use crate::spec::{build_facets, parse_input};
+    use crate::spec::{build_facets, parse_input, parse_refinement, ALL_FACETS};
 
     fn products(specs: &[&str], facets: &[&str]) -> (Vec<String>, Vec<ProductVal>) {
         let names: Vec<String> = facets.iter().map(|s| s.to_string()).collect();
@@ -252,5 +304,134 @@ mod tests {
         );
         assert!(k.shard(16) < 16);
         assert_eq!(k.shard(1), 0);
+    }
+
+    #[test]
+    fn analysis_keys_follow_the_facet_signature() {
+        let config = PeConfig::default();
+        let key = |specs: &[&str], facets: &[&str], config: &PeConfig| {
+            let (names, ps) = products(specs, facets);
+            analysis_key(7, "power", &names, &ps, config)
+        };
+        let base = key(&["_:sign=pos", "2"], &["sign"], &config);
+        // Static values that abstract alike share the analysis.
+        assert_eq!(base, key(&["_:sign=pos", "5"], &["sign"], &config));
+        // So do the budgets analysis never reads.
+        for other in [
+            PeConfig {
+                fuel: 1,
+                ..config.clone()
+            },
+            PeConfig {
+                max_unfold_depth: 3,
+                ..config.clone()
+            },
+            PeConfig {
+                max_specializations: 2,
+                ..config.clone()
+            },
+        ] {
+            assert_eq!(base, key(&["_:sign=pos", "2"], &["sign"], &other));
+        }
+        // Everything analysis reads separates keys: the deadline, the
+        // exhaustion policy, the facet set and the abstract inputs.
+        let deadline = PeConfig {
+            deadline: Some(Duration::from_millis(50)),
+            ..config.clone()
+        };
+        let degrade = PeConfig {
+            on_exhaustion: ExhaustionPolicy::Degrade,
+            ..config.clone()
+        };
+        for other in [
+            key(&["_:sign=pos", "2"], &["sign"], &deadline),
+            key(&["_:sign=pos", "2"], &["sign"], &degrade),
+            key(&["_:sign=pos", "2"], &["sign", "parity"], &config),
+            key(&["_:sign=pos", "-2"], &["sign"], &config),
+            key(&["_:sign=pos", "_"], &["sign"], &config),
+            key(&["_", "2"], &["sign"], &config),
+        ] {
+            assert_ne!(base, other);
+        }
+        let (names, ps) = products(&["_:sign=pos", "2"], &["sign"]);
+        assert_ne!(base, analysis_key(8, "power", &names, &ps, &config));
+        assert_ne!(base, analysis_key(7, "pow", &names, &ps, &config));
+        // Names the service rejects, or products over another facet set,
+        // fall back to the concrete rendering instead of panicking.
+        let unknown = vec!["nope".to_owned()];
+        assert_ne!(base, analysis_key(7, "power", &unknown, &ps, &config));
+        let (wider, _) = products(&[], &["sign", "parity"]);
+        assert_ne!(base, analysis_key(7, "power", &wider, &ps, &config));
+    }
+
+    #[test]
+    fn abstract_renderings_tell_every_product_apart() {
+        // Refinements that reach the corners of the infinite domains (range
+        // and const-set are their own abstract facets), and inputs a
+        // request can send.
+        let refinements = [
+            "sign=pos",
+            "sign=neg",
+            "sign=zero",
+            "parity=even",
+            "parity=odd",
+            "size=0",
+            "size=3",
+            "range=0..5",
+            "range=..5",
+            "range=0..",
+            "range=..",
+            "range=3..3",
+            "range=-9223372036854775808..9223372036854775807",
+            "const-set=1",
+            "const-set=1.0",
+            "const-set=1|2",
+            "const-set=#t|#f",
+            "const-set=0.0",
+            "const-set=-0.0",
+            "const-set=1e15",
+            "const-set=-inf|2.5",
+        ];
+        let inputs = [
+            "_", "0", "1", "-3", "1.0", "0.0", "-0.0", "2.5", "1e15", "#t", "#f", "vec:1,2",
+            "vec:1.0", "vec:#t",
+        ];
+        for name in ALL_FACETS {
+            let names = vec![name.to_string()];
+            let facets = build_facets(&names).unwrap();
+            let aset = facets.abstract_set();
+            let abs = aset.abstract_facet(0);
+            let mut values = vec![abs.bottom(), abs.top()];
+            values.extend(abs.enumerate().unwrap_or_default());
+            for r in refinements {
+                let (facet, online) = parse_refinement(r).unwrap();
+                if facet == *name {
+                    values.push(abs.alpha_facet(&online));
+                }
+            }
+            let mut all = Vec::new();
+            for base in [
+                AbstractProductVal::bottom(&aset),
+                AbstractProductVal::static_top(&aset),
+                AbstractProductVal::dynamic(&aset),
+            ] {
+                all.extend(values.iter().map(|v| base.with_facet(0, v.clone())));
+            }
+            for spec in inputs {
+                let product = parse_input(spec).unwrap().to_product(&facets).unwrap();
+                all.push(abstract_of_product(&product, &aset));
+            }
+            let mut seen: HashMap<String, AbstractProductVal> = HashMap::new();
+            for p in all {
+                let text = p.to_string();
+                match seen.get(&text) {
+                    Some(prev) => assert_eq!(prev, &p, "`{name}`: two products render {text}"),
+                    None => {
+                        seen.insert(text, p);
+                    }
+                }
+            }
+            assert!(seen.len() >= 3 * 2, "`{name}`: {:?}", seen.keys());
+        }
     }
 }

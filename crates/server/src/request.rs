@@ -15,7 +15,7 @@ use std::time::Duration;
 use ppe_lang::diag::Diagnostic;
 use ppe_online::{DegradationEvent, ExhaustionPolicy, PeConfig, PeStats};
 
-use crate::json::Json;
+use crate::json::{write_json_string, write_json_u64, Json};
 use crate::key::CacheKey;
 use crate::spec::ALL_FACETS;
 
@@ -419,6 +419,43 @@ pub struct ExecOutcome {
 }
 
 impl ExecOutcome {
+    /// Writes the outcome's `exec` object into `out`: the bytes of
+    /// `self.to_json().render()`, keys in the same sorted order, without
+    /// building the tree.
+    fn write_json(&self, out: &mut String) {
+        let vm = self.engine == ExecEngine::Vm;
+        out.push('{');
+        if vm {
+            out.push_str("\"chunk_cache\":\"");
+            out.push_str(if self.chunk_cache_hit { "hit" } else { "miss" });
+            out.push_str("\",\"chunks_compiled\":");
+            write_json_u64(self.chunks_compiled, out);
+            out.push(',');
+        }
+        out.push_str("\"engine\":");
+        write_json_string(self.engine.name(), out);
+        if let Err(msg) = &self.value {
+            out.push_str(",\"error\":");
+            write_json_string(msg, out);
+        }
+        out.push_str(",\"fuel_used\":");
+        write_json_u64(self.fuel_used, out);
+        out.push_str(if self.value.is_ok() {
+            ",\"ok\":true"
+        } else {
+            ",\"ok\":false"
+        });
+        if vm {
+            out.push_str(",\"ops\":");
+            write_json_u64(self.ops_executed, out);
+        }
+        if let Ok(value) = &self.value {
+            out.push_str(",\"value\":");
+            write_json_string(value, out);
+        }
+        out.push('}');
+    }
+
     /// Renders the outcome as the response's `exec` object.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![("engine", Json::str(self.engine.name()))];
@@ -623,17 +660,20 @@ impl RenderedHit {
         exec: Option<&ExecOutcome>,
     ) -> String {
         use std::fmt::Write as _;
-        let exec = exec.map(|e| e.to_json().render());
-        let exec_len = exec.as_ref().map_or(0, String::len);
+        let exec_len = exec.map_or(0, |e| {
+            160 + match &e.value {
+                Ok(s) | Err(s) => s.len(),
+            }
+        });
         let mut out =
             String::with_capacity(self.degradations.len() + self.tail.len() + exec_len + 64);
         out.push_str("{\"cache\":\"");
         out.push_str(disposition.name());
         out.push_str("\",\"degradations\":");
         out.push_str(&self.degradations);
-        if let Some(exec) = &exec {
+        if let Some(exec) = exec {
             out.push_str(",\"exec\":");
-            out.push_str(exec);
+            exec.write_json(&mut out);
         }
         if let Some(id) = id {
             out.push_str(",\"id\":");
@@ -883,13 +923,29 @@ mod tests {
             ops_executed: 0,
             fuel_used: 3,
         };
+        // Counters at and past 9·10¹⁵ and 2⁵³, where `Json::Num` stops
+        // printing integers and starts rounding.
+        let big = |mut e: ExecOutcome, n: u64| {
+            e.chunks_compiled = n;
+            e.ops_executed = n.wrapping_add(1);
+            e.fuel_used = n.wrapping_sub(1);
+            e
+        };
         let execs = [
             vm(Ok("8"), true),
             vm(Err("fuel exhausted after 4 \"calls\""), false),
             ast(Ok("#(1.5 2e15)")),
             ast(Err("division by zero")),
+            big(vm(Ok("-0.0"), false), 9_000_000_000_000_000),
+            big(vm(Err("tab\tand \u{1} control"), true), (1 << 53) + 1),
+            big(vm(Ok("1"), false), u64::MAX),
+            big(ast(Ok("#t")), 8_999_999_999_999_999),
+            big(ast(Err("\\ε")), 1 << 60),
         ];
         for exec in execs {
+            let mut direct = String::new();
+            exec.write_json(&mut direct);
+            assert_eq!(direct, exec.to_json().render());
             resp.exec = Some(exec);
             assert!(resp.hit_template().is_none(), "exec is per request");
             let own = resp.key_template().expect("template-eligible");

@@ -480,12 +480,18 @@ mod tests {
         b.facets = vec!["sign".into()];
         // Different optimize flag → different residual key, same analysis.
         b.optimize = true;
+        // Another static `n` with the same sign: the facet signature is
+        // unchanged, so the analysis is too.
+        let mut c = request(&["_:sign=pos", "5"]);
+        c.engine = Engine::Offline;
+        c.facets = vec!["sign".into()];
         assert!(service.handle(&a, &mut ctx).outcome.is_ok());
         assert!(service.handle(&b, &mut ctx).outcome.is_ok());
+        assert!(service.handle(&c, &mut ctx).outcome.is_ok());
         let s = service.metrics().snapshot();
-        assert_eq!(s.cache_misses, 2, "distinct residual keys");
+        assert_eq!(s.cache_misses, 3, "distinct residual keys");
         assert_eq!(s.analysis_misses, 1, "one analysis");
-        assert_eq!(s.analysis_hits, 1, "reused for the second request");
+        assert_eq!(s.analysis_hits, 2, "reused for the later requests");
         assert_eq!(ctx.cached_analyses(), 1);
     }
 
@@ -609,6 +615,35 @@ mod tests {
         let rendered = second.to_json(None).render();
         assert!(rendered.contains("\"exec\":{"), "{rendered}");
         assert!(rendered.contains("\"chunk_cache\":\"hit\""), "{rendered}");
+    }
+
+    #[test]
+    fn execute_only_residuals_never_compute_program_facts() {
+        use crate::request::{ExecEngine, ExecuteRequest};
+        let service = SpecializeService::new(ServiceConfig::default());
+        let mut ctx = EngineContext::new();
+        let src = "(define (power4 x n) (if (= n 0) 1 (* x (power4 x (- n 1)))))";
+        let mut req = SpecializeRequest::new(src, vec!["_".into(), "4".into()]);
+        for engine in [ExecEngine::Vm, ExecEngine::Ast] {
+            req.execute = Some(ExecuteRequest {
+                inputs: vec!["2".into()],
+                engine,
+            });
+            let r = service.handle(&req, &mut ctx);
+            assert_eq!(r.exec.as_ref().unwrap().value.as_deref(), Ok("16"));
+            // The residual text went through the parse cache to run, and
+            // nothing specialized it, so its facts were never computed.
+            let residual = service.program(&r.outcome.unwrap().residual).unwrap();
+            assert!(residual.program.computed_facts().is_none(), "{engine:?}");
+        }
+        // The source program's facts were computed by its run.
+        let source = service.program(src).unwrap();
+        assert!(source.program.computed_facts().is_some());
+        assert_eq!(
+            service.metrics().snapshot().depgraph_analyses,
+            2,
+            "two parses"
+        );
     }
 
     #[test]

@@ -26,8 +26,9 @@ use std::collections::HashMap;
 use std::hash::Hasher;
 use std::rc::Rc;
 
+use ppe_lang::term::{AddrHasher, BuildAddrHasher};
 use ppe_lang::{Expr, Symbol, Value};
-use ppe_online::spec_eval::{AddrHasher, BuildAddrHasher, SpecEvalBackend};
+use ppe_online::spec_eval::SpecEvalBackend;
 
 use crate::cache;
 use crate::vm::{Vm, VmOptions};
