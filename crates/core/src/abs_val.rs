@@ -6,8 +6,14 @@
 //! handle that still supports the equality and hashing the specialization
 //! cache needs; the owning [`crate::Facet`] downcasts with
 //! [`AbsVal::downcast_ref`].
+//!
+//! The built-in facets hand out their commonest elements — `⊤`, `⊥` and
+//! every element of a small finite domain — from a per-thread table
+//! ([`SharedElements`]), so that abstracting a constant or applying an
+//! operator costs a reference-count bump instead of an allocation.
 
-use std::any::Any;
+use std::any::{Any, TypeId};
+use std::cell::RefCell;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
@@ -49,8 +55,10 @@ where
 
 /// A type-erased element of some facet's abstract domain.
 ///
-/// Equality, hashing and display delegate to the underlying element.
-/// Cloning is O(1) (reference counted).
+/// Equality, hashing and display delegate to the underlying element, so
+/// whether two handles share one allocation is unobservable; equality
+/// merely answers a shared handle without a downcast. Cloning is O(1)
+/// (reference counted).
 ///
 /// # Examples
 ///
@@ -96,9 +104,50 @@ impl AbsVal {
     }
 }
 
+/// An element type some of whose elements the built-in facets share.
+///
+/// [`AbsVal::shared`] answers an element of `SHARED` with a clone of this
+/// thread's one `AbsVal` for it, and any other element with a fresh
+/// [`AbsVal::new`]. Facets outside this crate use [`AbsVal::new`].
+pub(crate) trait SharedElements: AbstractValue + Clone + PartialEq {
+    /// The elements worth sharing: `⊥`, `⊤`, and for a small finite
+    /// domain every element.
+    const SHARED: &'static [Self];
+}
+
+thread_local! {
+    /// Per element type, the `AbsVal`s of its `SHARED` elements in order,
+    /// built on the type's first use on this thread.
+    static SHARED_TABLES: RefCell<Vec<(TypeId, Box<[AbsVal]>)>> =
+        const { RefCell::new(Vec::new()) };
+}
+
+impl AbsVal {
+    /// Erases a domain element, reusing this thread's `AbsVal` for it when
+    /// the element is one of `T::SHARED`.
+    pub(crate) fn shared<T: SharedElements>(value: T) -> AbsVal {
+        let Some(slot) = T::SHARED.iter().position(|s| *s == value) else {
+            return AbsVal::new(value);
+        };
+        SHARED_TABLES
+            .try_with(|tables| {
+                let id = TypeId::of::<T>();
+                if let Some((_, table)) = tables.borrow().iter().find(|(t, _)| *t == id) {
+                    return table[slot].clone();
+                }
+                let table: Box<[AbsVal]> = T::SHARED.iter().cloned().map(AbsVal::new).collect();
+                let out = table[slot].clone();
+                tables.borrow_mut().push((id, table));
+                out
+            })
+            // Only while this thread's storage is being torn down.
+            .unwrap_or_else(|_| AbsVal::new(value))
+    }
+}
+
 impl PartialEq for AbsVal {
     fn eq(&self, other: &AbsVal) -> bool {
-        self.0.dyn_eq(other.0.as_ref())
+        Rc::ptr_eq(&self.0, &other.0) || self.0.dyn_eq(other.0.as_ref())
     }
 }
 
@@ -127,7 +176,7 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
 
-    #[derive(PartialEq, Eq, Hash, Debug)]
+    #[derive(Clone, PartialEq, Eq, Hash, Debug)]
     struct Tag(u8);
 
     impl fmt::Display for Tag {
@@ -175,6 +224,26 @@ mod tests {
     #[should_panic(expected = "foreign abstract value")]
     fn expect_ref_panics_on_foreign_values() {
         AbsVal::new(Tag(0)).expect_ref::<Other>("demo");
+    }
+
+    impl SharedElements for Tag {
+        const SHARED: &'static [Tag] = &[Tag(0), Tag(1)];
+    }
+
+    #[test]
+    fn shared_elements_are_one_allocation_per_thread() {
+        let a = AbsVal::shared(Tag(1));
+        let b = AbsVal::shared(Tag(1));
+        assert!(Rc::ptr_eq(&a.0, &b.0));
+        assert_eq!(a, AbsVal::new(Tag(1)));
+        assert_ne!(AbsVal::shared(Tag(0)), a);
+        // An element outside `SHARED` is a fresh allocation, equal all the same.
+        let c = AbsVal::shared(Tag(2));
+        assert!(!Rc::ptr_eq(&c.0, &AbsVal::shared(Tag(2)).0));
+        assert_eq!(c, AbsVal::new(Tag(2)));
+        // Another thread builds its own table.
+        let there = std::thread::spawn(|| AbsVal::shared(Tag(1)).to_string());
+        assert_eq!(there.join().unwrap(), a.to_string());
     }
 
     #[test]

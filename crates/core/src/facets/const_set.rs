@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use ppe_lang::{Const, Prim, Value};
 
-use crate::abs_val::AbsVal;
+use crate::abs_val::{AbsVal, SharedElements};
 use crate::abstract_facet::AbstractFacet;
 use crate::facet::{Facet, FacetArg};
 use crate::facets::mimic::mimic;
@@ -55,6 +55,10 @@ impl ConstSetVal {
         assert!(!set.is_empty(), "empty constant set is ⊥");
         ConstSetVal::Set(set)
     }
+}
+
+impl SharedElements for ConstSetVal {
+    const SHARED: &'static [ConstSetVal] = &[ConstSetVal::Bot, ConstSetVal::Top];
 }
 
 impl fmt::Display for ConstSetVal {
@@ -171,15 +175,15 @@ impl Facet for ConstSetFacet {
     }
 
     fn bottom(&self) -> AbsVal {
-        AbsVal::new(ConstSetVal::Bot)
+        AbsVal::shared(ConstSetVal::Bot)
     }
 
     fn top(&self) -> AbsVal {
-        AbsVal::new(ConstSetVal::Top)
+        AbsVal::shared(ConstSetVal::Top)
     }
 
     fn join(&self, a: &AbsVal, b: &AbsVal) -> AbsVal {
-        AbsVal::new(match (self.get(a), self.get(b)) {
+        AbsVal::shared(match (self.get(a), self.get(b)) {
             (ConstSetVal::Bot, x) | (x, ConstSetVal::Bot) => x.clone(),
             (ConstSetVal::Set(x), ConstSetVal::Set(y)) => self.cap(x.union(y).copied().collect()),
             _ => ConstSetVal::Top,
@@ -195,7 +199,7 @@ impl Facet for ConstSetFacet {
     }
 
     fn alpha(&self, v: &Value) -> AbsVal {
-        AbsVal::new(match v.to_const() {
+        AbsVal::shared(match v.to_const() {
             Some(c) => ConstSetVal::just(c),
             None => ConstSetVal::Top,
         })
@@ -227,7 +231,7 @@ impl Facet for ConstSetFacet {
             // Every combination errors: the application denotes ⊥.
             return self.bottom();
         }
-        AbsVal::new(self.cap(out))
+        AbsVal::shared(self.cap(out))
     }
 
     fn open_op(&self, p: Prim, args: &[FacetArg<'_>]) -> PeVal {
@@ -308,7 +312,7 @@ impl Facet for ConstSetFacet {
         } else if keep.is_empty() {
             Some(self.bottom()) // branch unreachable
         } else {
-            Some(AbsVal::new(ConstSetVal::Set(keep)))
+            Some(AbsVal::shared(ConstSetVal::Set(keep)))
         }
     }
 }

@@ -20,7 +20,7 @@ use std::rc::Rc;
 
 use ppe_lang::{Const, Prim, Value};
 
-use crate::abs_val::AbsVal;
+use crate::abs_val::{AbsVal, SharedElements};
 use crate::abstract_facet::{AbstractArg, AbstractFacet};
 use crate::bt_val::BtVal;
 use crate::facet::{Facet, FacetArg};
@@ -68,6 +68,10 @@ impl ContentsVal {
     pub fn known(elems: Vec<Const>) -> ContentsVal {
         ContentsVal::Exact(elems.into_iter().map(ElemVal::Known).collect())
     }
+}
+
+impl SharedElements for ContentsVal {
+    const SHARED: &'static [ContentsVal] = &[ContentsVal::Bot, ContentsVal::Top];
 }
 
 impl fmt::Display for ContentsVal {
@@ -131,11 +135,11 @@ impl Facet for ContentsFacet {
     }
 
     fn bottom(&self) -> AbsVal {
-        AbsVal::new(ContentsVal::Bot)
+        AbsVal::shared(ContentsVal::Bot)
     }
 
     fn top(&self) -> AbsVal {
-        AbsVal::new(ContentsVal::Top)
+        AbsVal::shared(ContentsVal::Top)
     }
 
     fn join(&self, a: &AbsVal, b: &AbsVal) -> AbsVal {
@@ -146,7 +150,7 @@ impl Facet for ContentsFacet {
             }
             _ => ContentsVal::Top,
         };
-        AbsVal::new(out)
+        AbsVal::shared(out)
     }
 
     fn leq(&self, a: &AbsVal, b: &AbsVal) -> bool {
@@ -160,7 +164,7 @@ impl Facet for ContentsFacet {
     }
 
     fn alpha(&self, v: &Value) -> AbsVal {
-        AbsVal::new(match v {
+        AbsVal::shared(match v {
             Value::Vector(elems) if elems.len() <= MAX_TRACKED => ContentsVal::Exact(
                 elems
                     .iter()
@@ -176,7 +180,7 @@ impl Facet for ContentsFacet {
 
     fn closed_op(&self, p: Prim, args: &[FacetArg<'_>]) -> AbsVal {
         match p {
-            Prim::MkVec => AbsVal::new(match args[0].pe {
+            Prim::MkVec => AbsVal::shared(match args[0].pe {
                 PeVal::Bottom => ContentsVal::Bot,
                 PeVal::Const(Const::Int(n)) if (0..=MAX_TRACKED as i64).contains(n) => {
                     ContentsVal::Exact(vec![
@@ -203,7 +207,7 @@ impl Facet for ContentsFacet {
                                 Some(c) => ElemVal::Known(c),
                                 None => ElemVal::Unknown,
                             };
-                            AbsVal::new(ContentsVal::Exact(out))
+                            AbsVal::shared(ContentsVal::Exact(out))
                         }
                         // Constant out-of-range index: the concrete
                         // operation errors, denoting ⊥.
@@ -211,7 +215,9 @@ impl Facet for ContentsFacet {
                         PeVal::Const(_) => self.bottom(), // type error: ⊥
                         // Unknown index: any element may have changed,
                         // but the length is preserved.
-                        _ => AbsVal::new(ContentsVal::Exact(vec![ElemVal::Unknown; elems.len()])),
+                        _ => {
+                            AbsVal::shared(ContentsVal::Exact(vec![ElemVal::Unknown; elems.len()]))
+                        }
                     },
                 }
             }

@@ -11,11 +11,12 @@ use std::rc::Rc;
 
 use ppe_lang::{Prim, Value};
 
-use crate::abs_val::AbsVal;
+use crate::abs_val::{AbsVal, SharedElements};
 use crate::abstract_facet::AbstractFacet;
 use crate::facet::{Facet, FacetArg};
 use crate::facets::mimic::mimic;
 use crate::pe_val::PeVal;
+use crate::short_list::ShortList;
 
 /// An element of the Parity domain `{⊥, even, odd, ⊤}`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -61,6 +62,10 @@ impl ParityVal {
     }
 }
 
+impl SharedElements for ParityVal {
+    const SHARED: &'static [ParityVal] = &ParityVal::ALL;
+}
+
 impl fmt::Display for ParityVal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -94,7 +99,7 @@ impl ParityFacet {
         *v.expect_ref::<ParityVal>("parity")
     }
 
-    fn args(&self, args: &[FacetArg<'_>]) -> Vec<ParityVal> {
+    fn args(&self, args: &[FacetArg<'_>]) -> ShortList<ParityVal> {
         args.iter()
             .map(|a| {
                 if *a.pe == PeVal::Bottom {
@@ -113,15 +118,15 @@ impl Facet for ParityFacet {
     }
 
     fn bottom(&self) -> AbsVal {
-        AbsVal::new(ParityVal::Bot)
+        AbsVal::shared(ParityVal::Bot)
     }
 
     fn top(&self) -> AbsVal {
-        AbsVal::new(ParityVal::Top)
+        AbsVal::shared(ParityVal::Top)
     }
 
     fn join(&self, a: &AbsVal, b: &AbsVal) -> AbsVal {
-        AbsVal::new(self.get(a).join(self.get(b)))
+        AbsVal::shared(self.get(a).join(self.get(b)))
     }
 
     fn leq(&self, a: &AbsVal, b: &AbsVal) -> bool {
@@ -129,7 +134,7 @@ impl Facet for ParityFacet {
     }
 
     fn alpha(&self, v: &Value) -> AbsVal {
-        AbsVal::new(match v {
+        AbsVal::shared(match v {
             Value::Int(n) => ParityVal::of_i64(*n),
             _ => ParityVal::Top,
         })
@@ -141,7 +146,7 @@ impl Facet for ParityFacet {
         if s.contains(&Bot) {
             return self.bottom();
         }
-        let out = match (p, s.as_slice()) {
+        let out = match (p, &*s) {
             (Prim::Add | Prim::Sub, [a, b]) => match (a, b) {
                 (Even, Even) | (Odd, Odd) => Even,
                 (Even, Odd) | (Odd, Even) => Odd,
@@ -156,7 +161,7 @@ impl Facet for ParityFacet {
             (Prim::Neg, [a]) => *a,
             _ => Top,
         };
-        AbsVal::new(out)
+        AbsVal::shared(out)
     }
 
     fn open_op(&self, p: Prim, args: &[FacetArg<'_>]) -> PeVal {
@@ -165,7 +170,7 @@ impl Facet for ParityFacet {
         if s.contains(&Bot) {
             return PeVal::Bottom;
         }
-        match (p, s.as_slice()) {
+        match (p, &*s) {
             // Different parities ⇒ the integers differ.
             (Prim::Eq, [Even, Odd] | [Odd, Even]) => PeVal::constant(false.into()),
             (Prim::Ne, [Even, Odd] | [Odd, Even]) => PeVal::constant(true.into()),
@@ -182,7 +187,7 @@ impl Facet for ParityFacet {
     }
 
     fn enumerate(&self) -> Option<Vec<AbsVal>> {
-        Some(ParityVal::ALL.iter().map(|p| AbsVal::new(*p)).collect())
+        Some(ParityVal::ALL.iter().map(|p| AbsVal::shared(*p)).collect())
     }
 
     fn abstract_facet(&self) -> Rc<dyn AbstractFacet> {

@@ -11,11 +11,12 @@ use std::rc::Rc;
 
 use ppe_lang::{Prim, Value};
 
-use crate::abs_val::AbsVal;
+use crate::abs_val::{AbsVal, SharedElements};
 use crate::abstract_facet::AbstractFacet;
 use crate::facet::{Facet, FacetArg};
 use crate::facets::mimic::mimic;
 use crate::pe_val::PeVal;
+use crate::short_list::ShortList;
 
 /// An element of the interval domain: `⊥` or `[lo, hi]` with optional
 /// (infinite) bounds. `⊤` is `[-∞, +∞]`.
@@ -113,6 +114,10 @@ impl RangeVal {
     }
 }
 
+impl SharedElements for RangeVal {
+    const SHARED: &'static [RangeVal] = &[RangeVal::Bot, RangeVal::TOP];
+}
+
 impl fmt::Display for RangeVal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -154,7 +159,7 @@ impl RangeFacet {
         *v.expect_ref::<RangeVal>("range")
     }
 
-    fn args(&self, args: &[FacetArg<'_>]) -> Vec<RangeVal> {
+    fn args(&self, args: &[FacetArg<'_>]) -> ShortList<RangeVal> {
         args.iter()
             .map(|a| {
                 if *a.pe == PeVal::Bottom {
@@ -180,15 +185,15 @@ impl Facet for RangeFacet {
     }
 
     fn bottom(&self) -> AbsVal {
-        AbsVal::new(RangeVal::Bot)
+        AbsVal::shared(RangeVal::Bot)
     }
 
     fn top(&self) -> AbsVal {
-        AbsVal::new(RangeVal::TOP)
+        AbsVal::shared(RangeVal::TOP)
     }
 
     fn join(&self, a: &AbsVal, b: &AbsVal) -> AbsVal {
-        AbsVal::new(self.get(a).join(self.get(b)))
+        AbsVal::shared(self.get(a).join(self.get(b)))
     }
 
     fn leq(&self, a: &AbsVal, b: &AbsVal) -> bool {
@@ -196,7 +201,7 @@ impl Facet for RangeFacet {
     }
 
     fn alpha(&self, v: &Value) -> AbsVal {
-        AbsVal::new(match v {
+        AbsVal::shared(match v {
             Value::Int(n) => RangeVal::exactly(*n),
             _ => RangeVal::TOP,
         })
@@ -208,7 +213,7 @@ impl Facet for RangeFacet {
         if s.contains(&Bot) {
             return self.bottom();
         }
-        let out = match (p, s.as_slice()) {
+        let out = match (p, &*s) {
             (Prim::Add, [Range { lo: a, hi: b }, Range { lo: c, hi: d }]) => Range {
                 lo: add_bound(*a, *c),
                 hi: add_bound(*b, *d),
@@ -237,14 +242,12 @@ impl Facet for RangeFacet {
                     b.checked_mul(*c),
                     b.checked_mul(*d),
                 ];
-                if products.iter().all(Option::is_some) {
-                    let ps: Vec<i64> = products.into_iter().flatten().collect();
-                    Range {
-                        lo: ps.iter().min().copied(),
-                        hi: ps.iter().max().copied(),
-                    }
-                } else {
-                    RangeVal::TOP
+                match products {
+                    [Some(w), Some(x), Some(y), Some(z)] => Range {
+                        lo: Some(w.min(x).min(y).min(z)),
+                        hi: Some(w.max(x).max(y).max(z)),
+                    },
+                    _ => RangeVal::TOP,
                 }
             }
             // n mod d for d ∈ [lo, hi] with lo > 0 is in [0, hi - 1].
@@ -254,7 +257,7 @@ impl Facet for RangeFacet {
             },
             _ => RangeVal::TOP,
         };
-        AbsVal::new(out)
+        AbsVal::shared(out)
     }
 
     fn open_op(&self, p: Prim, args: &[FacetArg<'_>]) -> PeVal {
@@ -263,7 +266,7 @@ impl Facet for RangeFacet {
         if s.contains(&Bot) {
             return PeVal::Bottom;
         }
-        let (a, b) = match s.as_slice() {
+        let (a, b) = match &*s {
             [x, y] => (*x, *y),
             _ => return PeVal::Top,
         };
@@ -328,7 +331,7 @@ impl Facet for RangeFacet {
                 }
             }
         };
-        AbsVal::new(out)
+        AbsVal::shared(out)
     }
 
     fn abstract_facet(&self) -> Rc<dyn AbstractFacet> {
@@ -402,7 +405,7 @@ impl Facet for RangeFacet {
         if refined == current {
             None
         } else {
-            Some(AbsVal::new(refined))
+            Some(AbsVal::shared(refined))
         }
     }
 }

@@ -11,11 +11,12 @@ use std::rc::Rc;
 
 use ppe_lang::{Prim, Value};
 
-use crate::abs_val::AbsVal;
+use crate::abs_val::{AbsVal, SharedElements};
 use crate::abstract_facet::AbstractFacet;
 use crate::facet::{Facet, FacetArg};
 use crate::facets::mimic::mimic;
 use crate::pe_val::PeVal;
+use crate::short_list::ShortList;
 
 /// An element of the Sign domain.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -77,20 +78,24 @@ impl SignVal {
     /// The set of orderings `a ? b` consistent with the signs, or `None`
     /// when either side is `⊥`. This single table derives every
     /// comparison operator soundly.
-    fn possible_orderings(self, other: SignVal) -> Option<Vec<std::cmp::Ordering>> {
+    fn possible_orderings(self, other: SignVal) -> Option<&'static [std::cmp::Ordering]> {
         use std::cmp::Ordering::*;
         if self == SignVal::Bot || other == SignVal::Bot {
             return None;
         }
         Some(match (self, other) {
-            (SignVal::Zero, SignVal::Zero) => vec![Equal],
-            (SignVal::Pos, SignVal::Zero | SignVal::Neg) => vec![Greater],
-            (SignVal::Zero, SignVal::Neg) => vec![Greater],
-            (SignVal::Neg, SignVal::Zero | SignVal::Pos) => vec![Less],
-            (SignVal::Zero, SignVal::Pos) => vec![Less],
-            _ => vec![Less, Equal, Greater],
+            (SignVal::Zero, SignVal::Zero) => &[Equal],
+            (SignVal::Pos, SignVal::Zero | SignVal::Neg) => &[Greater],
+            (SignVal::Zero, SignVal::Neg) => &[Greater],
+            (SignVal::Neg, SignVal::Zero | SignVal::Pos) => &[Less],
+            (SignVal::Zero, SignVal::Pos) => &[Less],
+            _ => &[Less, Equal, Greater],
         })
     }
+}
+
+impl SharedElements for SignVal {
+    const SHARED: &'static [SignVal] = &SignVal::ALL;
 }
 
 impl fmt::Display for SignVal {
@@ -127,10 +132,10 @@ impl SignFacet {
     }
 
     fn abs(&self, s: SignVal) -> AbsVal {
-        AbsVal::new(s)
+        AbsVal::shared(s)
     }
 
-    fn args_signs(&self, args: &[FacetArg<'_>]) -> Vec<SignVal> {
+    fn args_signs(&self, args: &[FacetArg<'_>]) -> ShortList<SignVal> {
         args.iter()
             .map(|a| {
                 if *a.pe == PeVal::Bottom {
@@ -178,7 +183,7 @@ impl Facet for SignFacet {
         if s.contains(&Bot) {
             return self.bottom();
         }
-        let out = match (p, s.as_slice()) {
+        let out = match (p, &*s) {
             // The paper's +̂ (Example 1): zero is the identity, equal signs
             // are preserved, mixed signs join to ⊤.
             (Prim::Add, [a, b]) => match (a, b) {
@@ -244,10 +249,9 @@ impl Facet for SignFacet {
                 if a == SignVal::Top || b == SignVal::Top {
                     return PeVal::Top;
                 }
-                let outcomes: Vec<bool> = orderings.into_iter().map(accept).collect();
-                if outcomes.iter().all(|&x| x) {
+                if orderings.iter().all(|&o| accept(o)) {
                     PeVal::constant(true.into())
-                } else if outcomes.iter().all(|&x| !x) {
+                } else if orderings.iter().all(|&o| !accept(o)) {
                     PeVal::constant(false.into())
                 } else {
                     PeVal::Top
@@ -270,7 +274,7 @@ impl Facet for SignFacet {
     }
 
     fn enumerate(&self) -> Option<Vec<AbsVal>> {
-        Some(SignVal::ALL.iter().map(|s| AbsVal::new(*s)).collect())
+        Some(SignVal::ALL.iter().map(|s| self.abs(*s)).collect())
     }
 
     fn abstract_facet(&self) -> Rc<dyn AbstractFacet> {
@@ -318,7 +322,7 @@ impl Facet for SignFacet {
             let Some(orderings) = a.possible_orderings(b) else {
                 continue;
             };
-            if orderings.into_iter().any(|o| accept(o) == outcome) {
+            if orderings.iter().any(|&o| accept(o) == outcome) {
                 refined = refined.join(candidate);
             }
         }
@@ -334,7 +338,7 @@ impl Facet for SignFacet {
         if out == current {
             None
         } else {
-            Some(AbsVal::new(out))
+            Some(self.abs(out))
         }
     }
 }

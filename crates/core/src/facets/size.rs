@@ -8,7 +8,7 @@ use std::rc::Rc;
 
 use ppe_lang::{Const, Prim, Value};
 
-use crate::abs_val::AbsVal;
+use crate::abs_val::{AbsVal, SharedElements};
 use crate::abstract_facet::{AbstractArg, AbstractFacet};
 use crate::bt_val::BtVal;
 use crate::facet::{Facet, FacetArg};
@@ -38,6 +38,10 @@ impl SizeVal {
     fn leq(self, other: SizeVal) -> bool {
         self == SizeVal::Bot || other == SizeVal::Top || self == other
     }
+}
+
+impl SharedElements for SizeVal {
+    const SHARED: &'static [SizeVal] = &[SizeVal::Bot, SizeVal::Top];
 }
 
 impl fmt::Display for SizeVal {
@@ -82,15 +86,15 @@ impl Facet for SizeFacet {
     }
 
     fn bottom(&self) -> AbsVal {
-        AbsVal::new(SizeVal::Bot)
+        AbsVal::shared(SizeVal::Bot)
     }
 
     fn top(&self) -> AbsVal {
-        AbsVal::new(SizeVal::Top)
+        AbsVal::shared(SizeVal::Top)
     }
 
     fn join(&self, a: &AbsVal, b: &AbsVal) -> AbsVal {
-        AbsVal::new(self.get(a).join(self.get(b)))
+        AbsVal::shared(self.get(a).join(self.get(b)))
     }
 
     fn leq(&self, a: &AbsVal, b: &AbsVal) -> bool {
@@ -98,7 +102,7 @@ impl Facet for SizeFacet {
     }
 
     fn alpha(&self, v: &Value) -> AbsVal {
-        AbsVal::new(match v {
+        AbsVal::shared(match v {
             Value::Vector(elems) => SizeVal::Known(elems.len() as i64),
             _ => SizeVal::Top,
         })
@@ -108,7 +112,7 @@ impl Facet for SizeFacet {
         match p {
             // MkV̂ec : Values → V̂ — a constant size makes a known-size
             // vector (the size flows in through the PE component).
-            Prim::MkVec => AbsVal::new(match args[0].pe {
+            Prim::MkVec => AbsVal::shared(match args[0].pe {
                 PeVal::Bottom => SizeVal::Bot,
                 PeVal::Const(Const::Int(n)) => SizeVal::Known(*n),
                 _ => SizeVal::Top,

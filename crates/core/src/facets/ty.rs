@@ -15,11 +15,12 @@ use std::rc::Rc;
 
 use ppe_lang::{Prim, Value};
 
-use crate::abs_val::AbsVal;
+use crate::abs_val::{AbsVal, SharedElements};
 use crate::abstract_facet::AbstractFacet;
 use crate::facet::{Facet, FacetArg};
 use crate::facets::mimic::mimic;
 use crate::pe_val::PeVal;
+use crate::short_list::ShortList;
 
 /// An element of the Type domain (flat).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -90,6 +91,10 @@ impl TypeVal {
     }
 }
 
+impl SharedElements for TypeVal {
+    const SHARED: &'static [TypeVal] = &TypeVal::ALL;
+}
+
 impl fmt::Display for TypeVal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -127,7 +132,7 @@ impl TypeFacet {
         *v.expect_ref::<TypeVal>("type")
     }
 
-    fn args(&self, args: &[FacetArg<'_>]) -> Vec<TypeVal> {
+    fn args(&self, args: &[FacetArg<'_>]) -> ShortList<TypeVal> {
         args.iter()
             .map(|a| {
                 if *a.pe == PeVal::Bottom {
@@ -146,15 +151,15 @@ impl Facet for TypeFacet {
     }
 
     fn bottom(&self) -> AbsVal {
-        AbsVal::new(TypeVal::Bot)
+        AbsVal::shared(TypeVal::Bot)
     }
 
     fn top(&self) -> AbsVal {
-        AbsVal::new(TypeVal::Top)
+        AbsVal::shared(TypeVal::Top)
     }
 
     fn join(&self, a: &AbsVal, b: &AbsVal) -> AbsVal {
-        AbsVal::new(self.get(a).join(self.get(b)))
+        AbsVal::shared(self.get(a).join(self.get(b)))
     }
 
     fn leq(&self, a: &AbsVal, b: &AbsVal) -> bool {
@@ -162,7 +167,7 @@ impl Facet for TypeFacet {
     }
 
     fn alpha(&self, v: &Value) -> AbsVal {
-        AbsVal::new(TypeVal::of(v))
+        AbsVal::shared(TypeVal::of(v))
     }
 
     fn closed_op(&self, p: Prim, args: &[FacetArg<'_>]) -> AbsVal {
@@ -171,7 +176,7 @@ impl Facet for TypeFacet {
         if s.contains(&Bot) {
             return self.bottom();
         }
-        let out = match (p, s.as_slice()) {
+        let out = match (p, &*s) {
             (Prim::Add | Prim::Sub | Prim::Mul, [a, b]) => match (a, b) {
                 (Int, Int) => Int,
                 (Float, Float) => Float,
@@ -218,7 +223,7 @@ impl Facet for TypeFacet {
             },
             _ => Top,
         };
-        AbsVal::new(out)
+        AbsVal::shared(out)
     }
 
     fn open_op(&self, p: Prim, args: &[FacetArg<'_>]) -> PeVal {
@@ -227,7 +232,7 @@ impl Facet for TypeFacet {
         if s.contains(&Bot) {
             return PeVal::Bottom;
         }
-        match (p, s.as_slice()) {
+        match (p, &*s) {
             (Prim::Lt | Prim::Le | Prim::Gt | Prim::Ge, [a, b]) => {
                 // Unknown or compatible types: value unknown. Otherwise a
                 // definite type error.
@@ -266,7 +271,7 @@ impl Facet for TypeFacet {
     }
 
     fn enumerate(&self) -> Option<Vec<AbsVal>> {
-        Some(TypeVal::ALL.iter().map(|t| AbsVal::new(*t)).collect())
+        Some(TypeVal::ALL.iter().map(|t| AbsVal::shared(*t)).collect())
     }
 
     fn abstract_facet(&self) -> Rc<dyn AbstractFacet> {
@@ -311,7 +316,7 @@ impl Facet for TypeFacet {
             Bot => return None,
             _ => Bot, // contradiction: the branch is unreachable
         };
-        Some(AbsVal::new(refined))
+        Some(AbsVal::shared(refined))
     }
 }
 

@@ -57,6 +57,7 @@ mod lattice;
 mod pe_val;
 mod product;
 pub mod safety;
+mod short_list;
 
 pub use abs_val::{AbsVal, AbstractValue};
 pub use abstract_facet::{AbstractArg, AbstractFacet};

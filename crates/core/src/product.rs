@@ -19,6 +19,7 @@ use crate::abstract_product::AbstractFacetSet;
 use crate::facet::{Facet, FacetArg};
 use crate::lattice::Lattice;
 use crate::pe_val::{pe_op, PeVal};
+use crate::short_list::ShortList;
 
 /// The set of facets a partial evaluation is parameterized by.
 ///
@@ -39,12 +40,20 @@ use crate::pe_val::{pe_op, PeVal};
 #[derive(Debug, Default)]
 pub struct FacetSet {
     facets: Vec<Rc<dyn Facet>>,
+    /// [`ProductVal::dynamic`] over this set, built on first use. The
+    /// engines ask for it at every residual call, λ and unknown open
+    /// operator; one payload serves them all. Only ever judged by
+    /// [`ProductVal::is_bottom`] against this set, whose
+    /// [`FacetSet::push`] resets it.
+    top: OnceCell<ProductVal>,
+    /// [`ProductVal::bottom`] over this set, likewise.
+    bottom: OnceCell<ProductVal>,
 }
 
 impl FacetSet {
     /// An empty set: conventional (non-parameterized) partial evaluation.
     pub fn new() -> FacetSet {
-        FacetSet { facets: Vec::new() }
+        FacetSet::default()
     }
 
     /// Builds a set from user facets; order fixes component indices
@@ -52,12 +61,15 @@ impl FacetSet {
     pub fn with_facets(facets: Vec<Box<dyn Facet>>) -> FacetSet {
         FacetSet {
             facets: facets.into_iter().map(Rc::from).collect(),
+            ..FacetSet::default()
         }
     }
 
     /// Adds a facet, returning its component index among user facets.
     pub fn push(&mut self, facet: Box<dyn Facet>) -> usize {
         self.facets.push(Rc::from(facet));
+        self.top.take();
+        self.bottom.take();
         self.facets.len() - 1
     }
 
@@ -105,7 +117,7 @@ impl FacetSet {
         if args.iter().any(|a| a.is_bottom(self)) {
             return PrimOutcome::Bottom;
         }
-        let pes: Vec<PeVal> = args.iter().map(|a| *a.pe()).collect();
+        let pes: ShortList<PeVal> = args.iter().map(|a| *a.pe()).collect();
         let pe_result = pe_op(p, &pes);
         match p.std_class() {
             StdOpClass::Closed => {
@@ -122,30 +134,31 @@ impl FacetSet {
                 // result (e.g. `mkvec 3`): the value is fully computable,
                 // so abstract it exactly into every facet instead of going
                 // through the (necessarily weaker) abstract operators.
-                let arg_consts: Option<Vec<Const>> =
-                    args.iter().map(|a| a.pe().as_const()).collect();
-                if let Some(cs) = arg_consts {
-                    let values: Vec<Value> = cs.iter().map(|c| Value::from_const(*c)).collect();
+                if pes.iter().all(PeVal::is_const) {
+                    let values: Vec<Value> = pes
+                        .iter()
+                        .filter_map(PeVal::as_const)
+                        .map(Value::from_const)
+                        .collect();
                     if let Ok(v) = p.eval(&values) {
                         return PrimOutcome::Closed(ProductVal::from_value(&v, self));
                     }
                 }
-                let mut components = Vec::with_capacity(self.facets.len());
-                for (i, facet) in self.facets.iter().enumerate() {
-                    let wrapped: Vec<FacetArg<'_>> = args
-                        .iter()
-                        .map(|a| FacetArg {
-                            pe: a.pe(),
-                            abs: a.facet(i),
-                        })
-                        .collect();
-                    let out = facet.closed_op(p, &wrapped);
-                    if out == facet.bottom() {
-                        return PrimOutcome::Bottom;
+                let components: Option<ShortList<AbsVal>> = self
+                    .facets
+                    .iter()
+                    .enumerate()
+                    .map(|(i, facet)| {
+                        let out = facet.closed_op(p, &facet_args(args, i));
+                        (out != facet.bottom()).then_some(out)
+                    })
+                    .collect();
+                match components {
+                    Some(components) => {
+                        PrimOutcome::Closed(ProductVal::from_parts(pe_result, components))
                     }
-                    components.push(out);
+                    None => PrimOutcome::Bottom,
                 }
-                PrimOutcome::Closed(ProductVal::from_parts(pe_result, components))
             }
             StdOpClass::Open => {
                 // Definition 5(b): ⊥ dominates; otherwise the first facet
@@ -156,29 +169,25 @@ impl FacetSet {
                 // abandoned and the expression stays residual — the
                 // conservative outcome that is correct whichever facet was
                 // at fault.
+                // Facets answer in component order, and the first ⊥ or
+                // disagreement decides (the operators are pure, so the
+                // facets after it need not be asked).
                 let mut found: Option<Const> = None;
-                let mut results = Vec::with_capacity(self.facets.len() + 1);
-                results.push(pe_result);
-                for (i, facet) in self.facets.iter().enumerate() {
-                    let wrapped: Vec<FacetArg<'_>> = args
-                        .iter()
-                        .map(|a| FacetArg {
-                            pe: a.pe(),
-                            abs: a.facet(i),
-                        })
-                        .collect();
-                    results.push(facet.open_op(p, &wrapped));
-                }
-                for r in &results {
+                let facet_results = self
+                    .facets
+                    .iter()
+                    .enumerate()
+                    .map(|(i, facet)| facet.open_op(p, &facet_args(args, i)));
+                for r in std::iter::once(pe_result).chain(facet_results) {
                     match r {
                         PeVal::Bottom => return PrimOutcome::Bottom,
                         PeVal::Const(c) => {
                             if let Some(prev) = found {
-                                if prev != *c {
+                                if prev != c {
                                     return PrimOutcome::Unknown;
                                 }
                             }
-                            found = Some(*c);
+                            found = Some(c);
                         }
                         PeVal::Top => {}
                     }
@@ -190,6 +199,16 @@ impl FacetSet {
             }
         }
     }
+}
+
+/// The `i`-th facet's view of `args`, gathered on the stack.
+fn facet_args(args: &[ProductVal], i: usize) -> ShortList<FacetArg<'_>> {
+    args.iter()
+        .map(|a| FacetArg {
+            pe: a.pe(),
+            abs: a.facet(i),
+        })
+        .collect()
 }
 
 /// Outcome of applying a primitive to product values — the case analysis
@@ -223,12 +242,14 @@ pub enum PrimOutcome {
 /// takes a pointer-identity fast path, and the smashed-bottom test is
 /// computed once per payload. The specialization caches key on vectors of
 /// these, so cheap `clone`/`Eq`/`Hash` here is what makes those keys cheap.
+/// Up to four facet components live in the payload itself, so building a
+/// product is one allocation.
 #[derive(Clone)]
 pub struct ProductVal(Rc<ProductInner>);
 
 struct ProductInner {
     pe: PeVal,
-    facets: Vec<AbsVal>,
+    facets: ShortList<AbsVal>,
     /// Cached [`ProductVal::is_bottom`] (bottomness never changes — the
     /// payload is immutable, and every use site passes the same governing
     /// facet set).
@@ -236,7 +257,7 @@ struct ProductInner {
 }
 
 impl ProductVal {
-    fn from_parts(pe: PeVal, facets: Vec<AbsVal>) -> ProductVal {
+    fn from_parts(pe: PeVal, facets: ShortList<AbsVal>) -> ProductVal {
         ProductVal(Rc::new(ProductInner {
             pe,
             facets,
@@ -244,18 +265,28 @@ impl ProductVal {
         }))
     }
 
-    /// The bottom product (every component `⊥`).
+    /// The bottom product (every component `⊥`), one shared payload per
+    /// facet set.
     pub fn bottom(set: &FacetSet) -> ProductVal {
-        ProductVal::from_parts(
-            PeVal::Bottom,
-            set.facets.iter().map(|f| f.bottom()).collect(),
-        )
+        set.bottom
+            .get_or_init(|| {
+                ProductVal::from_parts(
+                    PeVal::Bottom,
+                    set.facets.iter().map(|f| f.bottom()).collect(),
+                )
+            })
+            .clone()
     }
 
     /// The fully dynamic product (every component `⊤`) — the value of an
-    /// unknown program input about which no facet knows anything.
+    /// unknown program input about which no facet knows anything — one
+    /// shared payload per facet set.
     pub fn dynamic(set: &FacetSet) -> ProductVal {
-        ProductVal::from_parts(PeVal::Top, set.facets.iter().map(|f| f.top()).collect())
+        set.top
+            .get_or_init(|| {
+                ProductVal::from_parts(PeVal::Top, set.facets.iter().map(|f| f.top()).collect())
+            })
+            .clone()
     }
 
     /// Abstracts a constant into every component — the propagation
@@ -283,7 +314,7 @@ impl ProductVal {
             set.len(),
             "product arity must match the facet set"
         );
-        ProductVal::from_parts(pe, facets)
+        ProductVal::from_parts(pe, facets.into_iter().collect())
     }
 
     /// The partial-evaluation component (component 0).
@@ -363,7 +394,7 @@ impl ProductVal {
             self.0
                 .facets
                 .iter()
-                .zip(&other.0.facets)
+                .zip(other.0.facets.iter())
                 .zip(&set.facets)
                 .map(|((a, b), f)| f.join(a, b))
                 .collect(),
@@ -386,7 +417,7 @@ impl ProductVal {
                 .0
                 .facets
                 .iter()
-                .zip(&other.0.facets)
+                .zip(other.0.facets.iter())
                 .zip(&set.facets)
                 .all(|((a, b), f)| f.leq(a, b))
     }
@@ -406,7 +437,7 @@ impl ProductVal {
             self.0
                 .facets
                 .iter()
-                .zip(&newer.0.facets)
+                .zip(newer.0.facets.iter())
                 .zip(&set.facets)
                 .map(|((a, b), f)| f.widen(a, b))
                 .collect(),
@@ -422,7 +453,7 @@ impl ProductVal {
 impl PartialEq for ProductVal {
     fn eq(&self, other: &ProductVal) -> bool {
         Rc::ptr_eq(&self.0, &other.0)
-            || (self.0.pe == other.0.pe && self.0.facets == other.0.facets)
+            || (self.0.pe == other.0.pe && *self.0.facets == *other.0.facets)
     }
 }
 
@@ -431,7 +462,7 @@ impl Eq for ProductVal {}
 impl Hash for ProductVal {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.0.pe.hash(state);
-        self.0.facets.hash(state);
+        self.0.facets[..].hash(state);
     }
 }
 
@@ -439,7 +470,7 @@ impl fmt::Debug for ProductVal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ProductVal")
             .field("pe", &self.0.pe)
-            .field("facets", &self.0.facets)
+            .field("facets", &&self.0.facets[..])
             .finish()
     }
 }
@@ -447,7 +478,7 @@ impl fmt::Debug for ProductVal {
 impl fmt::Display for ProductVal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "⟨{}", self.0.pe)?;
-        for v in &self.0.facets {
+        for v in self.0.facets.iter() {
             write!(f, ", {v}")?;
         }
         f.write_str("⟩")
@@ -565,6 +596,28 @@ mod tests {
             }
             other => panic!("expected Closed, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn push_resets_the_shared_top_and_bottom() {
+        use crate::facets::{ParityFacet, ParityVal};
+        let mut set = sign_set();
+        let top = ProductVal::dynamic(&set);
+        let bot = ProductVal::bottom(&set);
+        assert_eq!(top.identity(), ProductVal::dynamic(&set).identity());
+        assert_eq!(bot.identity(), ProductVal::bottom(&set).identity());
+        assert_eq!(set.push(Box::new(ParityFacet)), 1);
+        let top2 = ProductVal::dynamic(&set);
+        let bot2 = ProductVal::bottom(&set);
+        assert_eq!(top2.facet_components().len(), 2);
+        assert_eq!(bot2.facet_components().len(), 2);
+        assert_eq!(top2.facet(1), &AbsVal::new(ParityVal::Top));
+        assert_eq!(bot2.facet(1), &AbsVal::new(ParityVal::Bot));
+        assert!(!top2.is_bottom(&set) && bot2.is_bottom(&set));
+        assert_eq!(top2.to_string(), "⟨⊤, ⊤, ⊤⟩");
+        // The products handed out before keep their arity.
+        assert_eq!(top.facet_components().len(), 1);
+        assert_eq!(bot.facet_components().len(), 1);
     }
 
     #[test]

@@ -9,8 +9,10 @@ use crate::symbol::Symbol;
 /// A totally ordered, hashable wrapper around `f64`.
 ///
 /// Constants appear as keys of the specialization cache `Sf`, so they must be
-/// `Eq + Hash`. NaN is rejected at construction; the remaining values admit
-/// the usual total order.
+/// `Eq + Hash`. NaN is rejected at construction. Equality and hashing read
+/// the bits, so `0.0` and `-0.0` are different constants, as they are
+/// different values (`(neg 0.0)` is `-0.0`); the order is `f64::total_cmp`,
+/// the usual order with `-0.0` just below `0.0`.
 ///
 /// # Examples
 ///
@@ -20,8 +22,9 @@ use crate::symbol::Symbol;
 /// let x = F64::new(1.5).unwrap();
 /// assert_eq!(x.get(), 1.5);
 /// assert!(F64::new(f64::NAN).is_none());
+/// assert_ne!(F64::new(0.0), F64::new(-0.0));
 /// ```
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct F64(f64);
 
 impl F64 {
@@ -40,17 +43,17 @@ impl F64 {
     }
 }
 
+impl PartialEq for F64 {
+    fn eq(&self, other: &F64) -> bool {
+        self.0.to_bits() == other.0.to_bits()
+    }
+}
+
 impl Eq for F64 {}
 
 impl std::hash::Hash for F64 {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Normalize -0.0 to 0.0 so that Eq and Hash agree.
-        let bits = if self.0 == 0.0 {
-            0u64
-        } else {
-            self.0.to_bits()
-        };
-        bits.hash(state);
+        self.0.to_bits().hash(state);
     }
 }
 
@@ -62,7 +65,7 @@ impl PartialOrd for F64 {
 
 impl Ord for F64 {
     fn cmp(&self, other: &F64) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("F64 is never NaN")
+        self.0.total_cmp(&other.0)
     }
 }
 
@@ -306,13 +309,19 @@ mod tests {
         use std::hash::{Hash, Hasher};
         let pz = F64::new(0.0).unwrap();
         let nz = F64::new(-0.0).unwrap();
-        assert_eq!(pz, nz);
         let h = |x: F64| {
             let mut s = DefaultHasher::new();
             x.hash(&mut s);
             s.finish()
         };
-        assert_eq!(h(pz), h(nz));
+        // The zeros are different constants: `(neg 0.0)` is `-0.0`.
+        assert_ne!(pz, nz);
+        assert_ne!(h(pz), h(nz));
+        assert!(nz < pz);
+        // Eq and Hash still agree, and the order is total.
+        assert_eq!(pz, F64::new(0.0).unwrap());
+        assert_eq!(h(nz), h(F64::new(-0.0).unwrap()));
+        assert!(F64::new(-1.0).unwrap() < nz && pz < F64::new(f64::MIN_POSITIVE).unwrap());
     }
 
     #[test]

@@ -132,8 +132,9 @@ fn pass(e: &mut Expr, level: OptLevel) -> bool {
                 return true;
             }
             // Identical branches collapse; the test is kept (sequenced)
-            // unless it is droppable.
-            if !same(t, f) {
+            // unless it is droppable. `==` reads float constants by their
+            // bits, so branches answering `0.0` and `-0.0` stay apart.
+            if t != f {
                 return fired;
             }
             *e = if is_droppable(c, level) {
@@ -326,29 +327,6 @@ pub fn count_uses(e: &Expr, x: Symbol) -> usize {
         Expr::App(f, args) => {
             count_uses(f, x) + args.iter().map(|a| count_uses(a, x)).sum::<usize>()
         }
-    }
-}
-
-/// True if `a` and `b` are the same tree, reading float constants by their
-/// bits. `Expr`'s `==` takes `0.0` and `-0.0` as equal, but a branch that
-/// answers one cannot stand in for a branch that answers the other.
-fn same(a: &Expr, b: &Expr) -> bool {
-    let all = |xs: &[Expr], ys: &[Expr]| {
-        xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same(x, y))
-    };
-    match (a, b) {
-        (Expr::Const(Const::Float(x)), Expr::Const(Const::Float(y))) => {
-            x.get().to_bits() == y.get().to_bits()
-        }
-        (Expr::Const(x), Expr::Const(y)) => x == y,
-        (Expr::Var(x), Expr::Var(y)) | (Expr::FnRef(x), Expr::FnRef(y)) => x == y,
-        (Expr::Prim(p, xs), Expr::Prim(q, ys)) => p == q && all(xs, ys),
-        (Expr::Call(f, xs), Expr::Call(g, ys)) => f == g && all(xs, ys),
-        (Expr::If(c, t, f), Expr::If(d, u, g)) => same(c, d) && same(t, u) && same(f, g),
-        (Expr::Let(x, b, e), Expr::Let(y, c, f)) => x == y && same(b, c) && same(e, f),
-        (Expr::Lambda(xs, e), Expr::Lambda(ys, f)) => xs == ys && same(e, f),
-        (Expr::App(f, xs), Expr::App(g, ys)) => same(f, g) && all(xs, ys),
-        _ => false,
     }
 }
 

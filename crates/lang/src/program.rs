@@ -422,8 +422,8 @@ fn hash_const(c: &crate::ast::Const, h: &mut Fnv64) {
         }
         Const::Float(x) => {
             h.write_u8(3);
-            // The bits as written: `0.0` and `-0.0` are equal `F64`s but
-            // not interchangeable constants (`(* 2.0 -0.0)` is `-0.0`), so
+            // The bits as written: `0.0` and `-0.0` are not
+            // interchangeable constants (`(* 2.0 -0.0)` is `-0.0`), so
             // programs holding them must not share a cache key.
             h.write_u64(x.get().to_bits());
         }

@@ -26,9 +26,9 @@
 //! let a = parse_expr("(+ x (* y 0.0))")?;
 //! let b = parse_expr("(+ x (* y 0.0))")?;
 //! assert_eq!(fingerprint_of(&a), fingerprint_of(&b));
-//! // `0.0` and `-0.0` are equal `F64`s, but different constants.
+//! // `0.0` and `-0.0` are different constants, and fingerprint apart.
 //! let c = parse_expr("(+ x (* y -0.0))")?;
-//! assert_eq!(a, c);
+//! assert_ne!(a, c);
 //! assert_ne!(fingerprint_of(&a), fingerprint_of(&c));
 //! # Ok::<(), ppe_lang::ParseError>(())
 //! ```
@@ -72,7 +72,7 @@ fn const_bits(c: &Const) -> u64 {
         Const::Int(n) => mix(1, *n as u64),
         Const::Bool(b) => mix(2, u64::from(*b)),
         // The bits as written, so `0.0` and `-0.0` stay distinct (and
-        // distinct VM chunk keys) although they are equal `F64`s.
+        // distinct VM chunk keys), as they are distinct `F64`s.
         Const::Float(x) => mix(3, x.get().to_bits()),
     }
 }

@@ -4,7 +4,7 @@
 //! So equal trees must fingerprint alike, however they were built, and a
 //! tree that differs in any one node, in any form and any child position,
 //! must fingerprint differently, floats by their bits (`0.0` and `-0.0`
-//! are equal `F64`s but compile to different constants).
+//! compile to different constants).
 
 use std::collections::HashSet;
 

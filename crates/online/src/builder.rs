@@ -15,6 +15,7 @@
 //! the parameterized engines key on products of facet values) and the
 //! value `V` its environment carries next to each residual.
 
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -210,7 +211,7 @@ impl<'p, P: Clone + Eq + Hash, V: Clone> ResidualBuilder<'p, P, V> {
     fn fresh_tmp(&mut self) -> Symbol {
         loop {
             self.tmp_counter += 1;
-            let candidate = Symbol::intern(&format!("tmp_{}", self.tmp_counter));
+            let candidate = tmp_name(self.tmp_counter);
             if self.names.insert(candidate) {
                 return candidate;
             }
@@ -514,6 +515,25 @@ impl ResidualBuilder<'_, Vec<ProductVal>, ProductVal> {
         self.complete(f, pattern, def, value.clone())?;
         Ok((name, value))
     }
+}
+
+thread_local! {
+    /// `tmp_1`, `tmp_2`, … as interned on this thread so far. Every run
+    /// numbers its temporaries from 1, so after the first runs a temporary
+    /// costs neither a `format!` nor a trip through the global interner.
+    static TMP_NAMES: RefCell<Vec<Symbol>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The symbol `tmp_n` (`n ≥ 1`).
+fn tmp_name(n: u64) -> Symbol {
+    TMP_NAMES.with(|names| {
+        let mut names = names.borrow_mut();
+        while (names.len() as u64) < n {
+            let next = names.len() + 1;
+            names.push(Symbol::intern(&format!("tmp_{next}")));
+        }
+        names[n as usize - 1]
+    })
 }
 
 /// Mints `base_n` for the least `n ≥ 1` not in `names`, and reserves it.

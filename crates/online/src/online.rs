@@ -376,9 +376,14 @@ impl<'a> OnlinePe<'a> {
                     let Some(x) = side.0 else { continue };
                     let other = &vals[1 - position];
                     // Equality against a constant: the variable *is* that
-                    // constant in this branch.
+                    // constant in this branch — unless it is a float zero,
+                    // which `=` does not tell from the other zero.
                     if is_equality {
-                        if let Some(c) = other.pe().as_const() {
+                        let exact = other
+                            .pe()
+                            .as_const()
+                            .filter(|c| !matches!(c, ppe_lang::Const::Float(x) if x.get() == 0.0));
+                        if let Some(c) = exact {
                             pending.push((
                                 x,
                                 Expr::Const(c),
@@ -827,6 +832,30 @@ mod constraint_tests {
             .unwrap();
         let printed = pretty_program(&r.program);
         assert!(printed.contains("(if (= x 5) 25 0)"), "{printed}");
+    }
+
+    #[test]
+    fn equality_with_a_float_zero_binds_nothing() {
+        // `(= x 0.0)` also holds at `x = -0.0`, where `(neg x)` is `0.0`:
+        // binding `x` to `0.0` would fold the branch to `-0.0`.
+        let src = "(define (f x) (if (= x 0.0) (neg x) (if (= x -0.0) x 1.0)))";
+        let p = parse_program(src).unwrap();
+        let facets = FacetSet::with_facets(vec![Box::new(SignFacet)]);
+        let r = OnlinePe::with_config(&p, &facets, with_constraints())
+            .specialize_main(&[PeInput::dynamic()])
+            .unwrap();
+        for x in [0.0, -0.0, 2.5] {
+            let expected = Evaluator::new(&p).run_main(&[Value::Float(x)]).unwrap();
+            let got = Evaluator::new(&r.program)
+                .run_main(&[Value::Float(x)])
+                .unwrap();
+            match (&expected, &got) {
+                (Value::Float(a), Value::Float(b)) => {
+                    assert_eq!(a.to_bits(), b.to_bits(), "x = {x:?}: {expected} vs {got}")
+                }
+                _ => panic!("x = {x:?}: {expected} vs {got}"),
+            }
+        }
     }
 
     #[test]

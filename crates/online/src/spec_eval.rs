@@ -130,10 +130,12 @@ impl<'p> SpecState<'p> {
 /// Per-run memo of the [`ProductVal`]s backend results abstract into.
 /// Interpreter-style workloads fold the same constants (program counters,
 /// opcodes, test outcomes) once per unfolding, and
-/// [`ProductVal::from_const`] allocates a fresh product — with one
-/// abstraction per facet — every time. Bounded; cleared wholesale on
-/// overflow (products are pure functions of the constant and the run's
-/// facet set, so eviction is only a performance event).
+/// [`ProductVal::from_const`] builds a fresh product — with one
+/// abstraction per facet — every time. Keyed by [`Const`], whose floats
+/// compare by their bits, so `0.0` and `-0.0` get their own products.
+/// Bounded; cleared wholesale on overflow (products are pure functions of
+/// the constant and the run's facet set, so eviction is only a
+/// performance event).
 #[derive(Debug, Default)]
 pub(crate) struct ConstProducts {
     map: HashMap<Const, ProductVal, BuildAddrHasher>,
@@ -306,10 +308,12 @@ const REIFY_CACHE_SLOTS: usize = 8;
 /// `Known` denotes exactly one concrete vector; rebuilding it per
 /// primitive would swamp the shortcut, so conversions are cached on
 /// [`ProductVal::identity`] (products are immutable and shared by
-/// reference count, so one payload reifies once per run).
+/// reference count, so one payload reifies once per run). Each slot holds
+/// its product, so no other payload can be allocated at an address the
+/// cache answers for. Only successful reifications are stored.
 #[derive(Debug, Default)]
 pub(crate) struct ReifyCache {
-    slots: Vec<(usize, Value)>,
+    slots: Vec<(ProductVal, Value)>,
 }
 
 impl ReifyCache {
@@ -322,14 +326,14 @@ impl ReifyCache {
     /// element; `contents_idx` is the facet's index in the governing set.
     pub fn get_or_reify(&mut self, v: &ProductVal, contents_idx: usize) -> Option<Value> {
         let id = v.identity();
-        if let Some((_, val)) = self.slots.iter().find(|(k, _)| *k == id) {
+        if let Some((_, val)) = self.slots.iter().find(|(k, _)| k.identity() == id) {
             return Some(val.clone());
         }
         let out = reify_vector(v, contents_idx)?;
         if self.slots.len() >= REIFY_CACHE_SLOTS {
             self.slots.remove(0);
         }
-        self.slots.push((id, out.clone()));
+        self.slots.push((v.clone(), out.clone()));
         Some(out)
     }
 }
@@ -545,5 +549,36 @@ mod tests {
         let fuzzy = ProductVal::dynamic(&facets)
             .with_facet(0, AbsVal::new(ContentsVal::Exact(vec![ElemVal::Unknown])));
         assert_eq!(cache.get_or_reify(&fuzzy, 0), None);
+    }
+
+    #[test]
+    fn reify_cache_never_answers_for_the_shared_top_product() {
+        let facets = FacetSet::with_facets(vec![Box::new(ContentsFacet)]);
+        let top = ProductVal::dynamic(&facets);
+        let mut cache = ReifyCache::new();
+        assert_eq!(cache.get_or_reify(&top, 0), None);
+        let pinned = top.with_facet(0, AbsVal::new(ContentsVal::known(vec![Const::Int(1)])));
+        assert!(cache.get_or_reify(&pinned, 0).is_some());
+        drop(pinned);
+        // The shared ⊤ payload outlives every pinned one and never reifies.
+        assert_eq!(ProductVal::dynamic(&facets).identity(), top.identity());
+        assert_eq!(cache.get_or_reify(&ProductVal::dynamic(&facets), 0), None);
+    }
+
+    #[test]
+    fn reify_cache_never_answers_for_a_dropped_payload() {
+        // A slot keyed by a bare address would answer a dropped product's
+        // vector for the next product allocated at that address.
+        let facets = FacetSet::with_facets(vec![Box::new(ContentsFacet)]);
+        let mut cache = ReifyCache::new();
+        for n in 0..64 {
+            let v = ProductVal::dynamic(&facets)
+                .with_facet(0, AbsVal::new(ContentsVal::known(vec![Const::Int(n)])));
+            assert_eq!(
+                cache.get_or_reify(&v, 0),
+                Some(Value::vector(vec![Value::Int(n)])),
+                "at {n}"
+            );
+        }
     }
 }

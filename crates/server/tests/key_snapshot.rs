@@ -168,8 +168,8 @@ fn residual_keys_are_stable() {
     );
 }
 
-/// `0.0` and `-0.0` are equal `F64`s but programs with different
-/// residuals (`(* 2.0 -0.0)` is `-0.0`), so they must not share a key. The
+/// `0.0` and `-0.0` make programs with different residuals
+/// (`(* 2.0 -0.0)` is `-0.0`), so they must not share a key. The
 /// `0.0` program keeps the key it had before float bits were hashed as
 /// written.
 #[test]
