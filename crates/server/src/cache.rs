@@ -25,6 +25,10 @@
 //! returned but never retained, and reported via
 //! [`ppe_online::Budget::CacheBytes`] so callers can see the capacity
 //! degradation in the response.
+//!
+//! An entry's first hit renders its answer fragment ([`RenderedHit`])
+//! from the entry's own outcome, under the shard lock. The fragment is
+//! charged to the same budget and leaves with its entry.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,7 +38,7 @@ use ppe_online::{DegradationEvent, PeStats};
 
 use crate::key::CacheKey;
 use crate::metrics::Metrics;
-use crate::request::CacheDisposition;
+use crate::request::{CacheDisposition, RenderedHit};
 
 /// A completed specialization, as stored in (and served from) the cache.
 #[derive(Clone, Debug)]
@@ -73,6 +77,9 @@ pub struct Fetched {
     pub outcome: Result<Arc<CachedOutcome>, String>,
     /// Hit, miss, or coalesced.
     pub disposition: CacheDisposition,
+    /// On a hit, the entry's answer fragment (`None` otherwise, and when
+    /// the fragment did not fit beside its entry in the shard's budget).
+    pub rendered: Option<Arc<RenderedHit>>,
     /// Set when a computed outcome was too large to retain (its cost in
     /// bytes); the caller surfaces this as a `CacheBytes` degradation.
     pub rejected_bytes: Option<usize>,
@@ -80,6 +87,9 @@ pub struct Fetched {
 
 struct Entry {
     outcome: Arc<CachedOutcome>,
+    /// `None` until the first hit; then the fragment, or `Some(None)` when
+    /// it did not fit. `bytes` counts the outcome and a kept fragment.
+    rendered: Option<Option<Arc<RenderedHit>>>,
     bytes: usize,
     last_used: u64,
 }
@@ -154,13 +164,34 @@ struct Shard {
 }
 
 impl Shard {
-    fn touch(&mut self, key: u128) -> Option<Arc<CachedOutcome>> {
+    /// Marks `key`'s entry most recently used and returns its outcome and
+    /// answer fragment, rendering the fragment on the entry's first hit.
+    fn touch(
+        &mut self,
+        key: CacheKey,
+        budget: usize,
+        metrics: &Metrics,
+    ) -> Option<(Arc<CachedOutcome>, Option<Arc<RenderedHit>>)> {
         self.clock += 1;
         let clock = self.clock;
-        self.entries.get_mut(&key).map(|e| {
-            e.last_used = clock;
-            Arc::clone(&e.outcome)
-        })
+        let entry = self.entries.get_mut(&key.0)?;
+        entry.last_used = clock;
+        if entry.rendered.is_none() {
+            let out = &entry.outcome;
+            let fragment = RenderedHit::new(key, &out.residual, &out.stats, &out.degradations);
+            let need = fragment.cost();
+            let fits = entry.bytes + need <= budget;
+            if fits {
+                entry.bytes += need;
+                self.bytes += need;
+            }
+            entry.rendered = Some(fits.then(|| Arc::new(fragment)));
+        }
+        let found = (Arc::clone(&entry.outcome), entry.rendered.clone().flatten());
+        // Only older entries make way for a new fragment: this one was
+        // just used.
+        self.make_room(0, budget, metrics);
+        Some(found)
     }
 
     /// Evicts least-recently-used entries until `need` bytes fit in
@@ -258,11 +289,12 @@ impl ResidualCache {
         let flight: Arc<Flight>;
         {
             let mut s = shard.lock().expect("cache shard poisoned");
-            if let Some(outcome) = s.touch(key.0) {
+            if let Some((outcome, rendered)) = s.touch(key, self.shard_budget, metrics) {
                 metrics.cache_hits.fetch_add(1, Relaxed);
                 return Fetched {
                     outcome: Ok(outcome),
                     disposition: CacheDisposition::Hit,
+                    rendered,
                     rejected_bytes: None,
                 };
             }
@@ -273,6 +305,7 @@ impl ResidualCache {
                 return Fetched {
                     outcome: wait(&existing),
                     disposition: CacheDisposition::Coalesced,
+                    rendered: None,
                     rejected_bytes: None,
                 };
             }
@@ -315,6 +348,7 @@ impl ResidualCache {
                         key.0,
                         Entry {
                             outcome: Arc::clone(&outcome),
+                            rendered: None,
                             bytes,
                             last_used,
                         },
@@ -334,6 +368,7 @@ impl ResidualCache {
         Fetched {
             outcome,
             disposition: CacheDisposition::Miss,
+            rendered: None,
             rejected_bytes,
         }
     }
@@ -372,6 +407,11 @@ mod tests {
             entry: "main".to_owned(),
             closure_fingerprint: 0,
         }
+    }
+
+    /// The fragment `key`'s entry renders for `out` on its first hit.
+    fn fragment(key: u128, out: &CachedOutcome) -> RenderedHit {
+        RenderedHit::new(CacheKey(key), &out.residual, &out.stats, &out.degradations)
     }
 
     #[test]
@@ -445,8 +485,10 @@ mod tests {
 
     #[test]
     fn lru_evicts_under_byte_budget() {
-        // One shard, budget fits roughly two small entries.
-        let cache = ResidualCache::new(700, 1);
+        // One shard, budget fits two small entries and the fragment of
+        // key 1's hit, but not a third entry.
+        let budget = 2 * outcome("a").cost() + fragment(1, &outcome("a")).cost();
+        let cache = ResidualCache::new(budget, 1);
         let metrics = Metrics::new();
         cache.get_or_compute(CacheKey(1), &metrics, || Ok(outcome("a")));
         cache.get_or_compute(CacheKey(2), &metrics, || Ok(outcome("b")));
@@ -470,6 +512,89 @@ mod tests {
             CacheDisposition::Miss,
             "LRU victim was evicted"
         );
+    }
+
+    #[test]
+    fn fragment_is_built_on_first_hit_charged_and_evicted_with_its_entry() {
+        let metrics = Metrics::new();
+        let out = outcome("(define (f x) x)");
+        let entry = out.cost();
+        let expected = fragment(1, &out);
+        let cache = ResidualCache::new(2 * entry + expected.cost(), 1);
+        let miss = cache.get_or_compute(CacheKey(1), &metrics, || Ok(out.clone()));
+        assert!(miss.rendered.is_none());
+        assert_eq!(
+            cache.bytes(),
+            entry,
+            "a key answered once keeps its entry only"
+        );
+
+        let hit = cache.get_or_compute(CacheKey(1), &metrics, || unreachable!());
+        let rendered = hit.rendered.expect("the first hit renders the fragment");
+        assert_eq!(
+            rendered.line(CacheDisposition::Hit, None, 7),
+            expected.line(CacheDisposition::Hit, None, 7)
+        );
+        assert_eq!(
+            cache.bytes(),
+            entry + expected.cost(),
+            "charged to the budget"
+        );
+        let again = cache.get_or_compute(CacheKey(1), &metrics, || unreachable!());
+        assert!(
+            Arc::ptr_eq(&rendered, &again.rendered.unwrap()),
+            "built once"
+        );
+        assert_eq!(cache.bytes(), entry + expected.cost());
+
+        // Two more entries of the same cost: key 1 is the LRU victim, and
+        // its fragment goes with it.
+        cache.get_or_compute(CacheKey(2), &metrics, || Ok(out.clone()));
+        cache.get_or_compute(CacheKey(3), &metrics, || Ok(out.clone()));
+        assert_eq!(metrics.snapshot().cache_evictions, 1);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.bytes(), 2 * entry, "the fragment left with its entry");
+    }
+
+    #[test]
+    fn recomputed_entry_renders_its_own_outcome() {
+        // An evicted key that is computed again, with another outcome (a
+        // deadline trip under `Degrade` can do that), answers with the new
+        // residual, never the fragment of the entry it replaced.
+        let metrics = Metrics::new();
+        let cache = ResidualCache::new(2 * outcome("old").cost(), 1);
+        cache.get_or_compute(CacheKey(1), &metrics, || Ok(outcome("old")));
+        let old = cache.get_or_compute(CacheKey(1), &metrics, || unreachable!());
+        assert!(old
+            .rendered
+            .unwrap()
+            .line(CacheDisposition::Hit, None, 0)
+            .contains("old"));
+        cache.get_or_compute(CacheKey(2), &metrics, || Ok(outcome("other")));
+        let recomputed = cache.get_or_compute(CacheKey(1), &metrics, || Ok(outcome("new")));
+        assert_eq!(
+            recomputed.disposition,
+            CacheDisposition::Miss,
+            "was evicted"
+        );
+        let hit = cache.get_or_compute(CacheKey(1), &metrics, || unreachable!());
+        let line = hit.rendered.unwrap().line(CacheDisposition::Hit, None, 0);
+        assert!(line.contains("\"residual\":\"new\""), "{line}");
+    }
+
+    #[test]
+    fn fragment_that_does_not_fit_beside_its_entry_is_not_kept() {
+        let metrics = Metrics::new();
+        let out = outcome("(define (f x) x)");
+        let cache = ResidualCache::new(out.cost() + fragment(1, &out).cost() - 1, 1);
+        cache.get_or_compute(CacheKey(1), &metrics, || Ok(out.clone()));
+        for _ in 0..2 {
+            let hit = cache.get_or_compute(CacheKey(1), &metrics, || unreachable!());
+            assert_eq!(hit.disposition, CacheDisposition::Hit);
+            assert!(hit.rendered.is_none());
+            assert_eq!(cache.bytes(), out.cost(), "the entry stays, alone");
+        }
+        assert_eq!(metrics.snapshot().cache_evictions, 0);
     }
 
     #[test]

@@ -415,7 +415,7 @@ impl MetricsSnapshot {
         family(
             "ppe_depgraph_analyses_total",
             "counter",
-            "Dependency graphs built (one per distinct program source).",
+            "Dependency graphs built, one per parse-cache miss (request programs and residuals read back for execute).",
             &[("", self.depgraph_analyses)],
         );
         family(

@@ -511,6 +511,9 @@ pub struct SpecializeResponse {
     /// only when `true`, so transports without admission control emit an
     /// unchanged protocol.
     pub shed: bool,
+    /// On a hit, the answer fragment of the cache entry that answered
+    /// (see [`RenderedHit`]); the serve loop splices it into the line.
+    pub(crate) rendered: Option<Arc<RenderedHit>>,
 }
 
 impl SpecializeResponse {
@@ -524,6 +527,7 @@ impl SpecializeResponse {
             diagnostics: Vec::new(),
             exec: None,
             shed: false,
+            rendered: None,
         }
     }
 
@@ -587,13 +591,12 @@ impl SpecializeResponse {
     /// Specialization output is deterministic per cache key — that is the
     /// invariant the residual cache itself rests on — so everything except
     /// `cache`, `id`, and `wall_us` renders to identical bytes for every
-    /// request that maps to the same key. Serving transports exploit that
-    /// with a session-local template cache: repeat hits skip JSON tree
-    /// construction and residual re-escaping, and a response line becomes
-    /// two `memcpy`s plus three small fields (see `RenderedHit::line`,
-    /// which is tested byte-identical to [`SpecializeResponse::to_json`]).
-    /// The serve loop also templates responses that carry `exec`, splicing
-    /// each request's own outcome in with [`RenderedHit::line_with_exec`].
+    /// request that maps to the same key. So each residual-cache entry
+    /// keeps one such fragment, and every hit in every session assembles
+    /// its line from it as two `memcpy`s plus three small fields (see
+    /// `RenderedHit::line`, tested byte-identical to
+    /// [`SpecializeResponse::to_json`]), splicing in its own `exec` with
+    /// [`RenderedHit::line_with_exec`].
     pub fn hit_template(&self) -> Option<RenderedHit> {
         if self.exec.is_some() {
             return None;
@@ -608,23 +611,36 @@ impl SpecializeResponse {
         if self.shed || !self.diagnostics.is_empty() {
             return None;
         }
-        let key = self.key?;
-        let degradations =
-            Json::Arr(out.degradations.iter().map(degradation_json).collect()).render();
-        let mut tail = String::with_capacity(out.residual.len() + 256);
-        tail.push_str("\"key\":");
-        tail.push_str(&Json::str(key.to_string()).render());
-        tail.push_str(",\"ok\":true,\"residual\":");
-        tail.push_str(&Json::str(out.residual.clone()).render());
-        tail.push_str(",\"stats\":");
-        tail.push_str(&stats_json(&out.stats).render());
-        tail.push_str(",\"wall_us\":");
-        Some(RenderedHit { degradations, tail })
+        Some(RenderedHit::new(
+            self.key?,
+            &out.residual,
+            &out.stats,
+            &out.degradations,
+        ))
+    }
+
+    /// This response's wire line, the bytes of `self.to_json(id).render()`:
+    /// a hit splices its cache entry's fragment, other answers that
+    /// [`SpecializeResponse::key_template`] accepts build one for the
+    /// line, and shed answers and answers with diagnostics render the tree.
+    pub(crate) fn wire_line(&self, id: Option<&Json>) -> String {
+        let template = self
+            .rendered
+            .clone()
+            .filter(|_| !self.shed && self.diagnostics.is_empty())
+            .or_else(|| self.key_template().map(Arc::new));
+        match template {
+            Some(t) => t.line_with_exec(self.disposition, id, self.wall_micros, self.exec.as_ref()),
+            None => self.to_json(id).render(),
+        }
     }
 }
 
 /// A response wire line pre-rendered around its per-request fields
-/// (`cache`, `id`, `wall_us`); see [`SpecializeResponse::hit_template`].
+/// (`cache`, `id`, `wall_us`, `exec`): the degradations array and the
+/// `"key"` … `"wall_us":` tail, the residual escaped once. The residual
+/// cache keeps one per entry, built on its first hit, charged to its byte
+/// budget and evicted with it; see [`SpecializeResponse::hit_template`].
 #[derive(Clone, Debug)]
 pub struct RenderedHit {
     /// The rendered degradations array.
@@ -634,6 +650,30 @@ pub struct RenderedHit {
 }
 
 impl RenderedHit {
+    /// The fragment of a successful answer under `key`.
+    pub(crate) fn new(
+        key: CacheKey,
+        residual: &str,
+        stats: &PeStats,
+        degradations: &[DegradationEvent],
+    ) -> RenderedHit {
+        let degradations = Json::Arr(degradations.iter().map(degradation_json).collect()).render();
+        let mut tail = String::with_capacity(residual.len() + 256);
+        tail.push_str("\"key\":");
+        write_json_string(&key.to_string(), &mut tail);
+        tail.push_str(",\"ok\":true,\"residual\":");
+        write_json_string(residual, &mut tail);
+        tail.push_str(",\"stats\":");
+        tail.push_str(&stats_json(stats).render());
+        tail.push_str(",\"wall_us\":");
+        RenderedHit { degradations, tail }
+    }
+
+    /// Bytes this fragment holds, as the residual cache charges them.
+    pub(crate) fn cost(&self) -> usize {
+        self.degradations.len() + self.tail.len()
+    }
+
     /// Assembles the full wire line for one request over this template's
     /// key. Byte-identical to `response.to_json(id).render()` for every
     /// response [`SpecializeResponse::hit_template`] accepts (object keys
@@ -858,6 +898,7 @@ mod tests {
             diagnostics: Vec::new(),
             exec: None,
             shed: false,
+            rendered: None,
         };
         let text = ok.to_json(Some(&Json::num(1))).render();
         assert!(text.contains("\"ok\":true"), "{text}");
@@ -888,6 +929,7 @@ mod tests {
             diagnostics: Vec::new(),
             exec: None,
             shed: false,
+            rendered: None,
         };
         let template = resp.hit_template().expect("template-eligible");
         // Every per-request combination the template path serves must be
@@ -987,5 +1029,32 @@ mod tests {
         resp.key = Some(CacheKey(1));
         resp.outcome = Err("boom".into());
         assert!(resp.hit_template().is_none(), "errors are not cacheable");
+    }
+
+    #[test]
+    fn wire_line_splices_the_entry_fragment_only_where_it_holds() {
+        let mut resp = SpecializeResponse::error("");
+        let out = SpecializeOutput {
+            residual: "(define (f x) x)".into(),
+            stats: PeStats::default(),
+            degradations: Vec::new(),
+        };
+        resp.rendered = Some(Arc::new(RenderedHit::new(
+            CacheKey(3),
+            &out.residual,
+            &out.stats,
+            &out.degradations,
+        )));
+        resp.outcome = Ok(out);
+        resp.key = Some(CacheKey(3));
+        resp.disposition = CacheDisposition::Hit;
+        let id = Json::num(1);
+        assert_eq!(resp.wire_line(Some(&id)), resp.to_json(Some(&id)).render());
+        // The fragment holds no per-program diagnostics and no shed marker.
+        resp.diagnostics = vec![Diagnostic::warning("W0003", "unused parameter")];
+        assert_eq!(resp.wire_line(None), resp.to_json(None).render());
+        resp.diagnostics.clear();
+        resp.shed = true;
+        assert_eq!(resp.wire_line(None), resp.to_json(None).render());
     }
 }

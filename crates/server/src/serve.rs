@@ -22,13 +22,17 @@
 //! answered with a structured error, and a line that is not valid UTF-8
 //! is dropped the same way. Only real I/O errors end the session.
 //!
+//! A hit's answer is assembled around the fragment its residual-cache
+//! entry keeps ([`crate::request::RenderedHit`]), one copy for every
+//! session; the bytes are those [`SpecializeResponse::to_json`] renders.
+//!
 //! The same core loop serves two transports: [`serve`] drives it over
 //! stdio (with an optional worker pool and a reordering writer), and the
 //! TCP front-end ([`crate::net`]) runs one [`handle_session`] per
 //! connection, layering admission control and drain awareness on top via
 //! [`SessionOptions`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc;
@@ -41,9 +45,8 @@ use ppe_online::ExhaustionPolicy;
 use crate::driver::WORKER_STACK_BYTES;
 use crate::engine::EngineContext;
 use crate::json::Json;
-use crate::key::CacheKey;
 use crate::metrics::Metrics;
-use crate::request::{RenderedHit, SpecializeRequest, SpecializeResponse};
+use crate::request::{SpecializeRequest, SpecializeResponse};
 use crate::service::SpecializeService;
 
 /// Longest request line the serve loop will buffer, in bytes.
@@ -165,59 +168,9 @@ pub fn serve(
     options: ServeOptions,
 ) -> io::Result<ServeSummary> {
     if options.jobs <= 1 {
-        return serve_inline(service, input, output);
+        return handle_session(service, input, output, &SessionOptions::default());
     }
     serve_parallel(service, input, output, options.jobs)
-}
-
-/// Session-local cache of pre-rendered response templates, keyed by
-/// cache key. Rendering dominates the warm-hit serve path (a multi-KB
-/// residual re-escaped per response), so repeat answers assemble from a
-/// template instead (see [`SpecializeResponse::hit_template`]). An answer
-/// that ran the residual uses its key's template too, with its own `exec`
-/// outcome spliced in; shed answers and answers with diagnostics render
-/// the tree. Bounded: past [`RenderCache::CAP`] keys it starts over — a
-/// session cycling through more hot keys than that is re-rendering either
-/// way.
-struct RenderCache {
-    map: HashMap<CacheKey, RenderedHit>,
-}
-
-impl RenderCache {
-    const CAP: usize = 512;
-
-    fn new() -> RenderCache {
-        RenderCache {
-            map: HashMap::new(),
-        }
-    }
-
-    /// Renders `response`'s wire line, through the template cache when
-    /// the response is template-eligible.
-    fn line(&mut self, response: &SpecializeResponse, id: Option<&Json>) -> String {
-        let exec = response.exec.as_ref();
-        if let Some(key) = response.key.filter(|_| response.outcome.is_ok()) {
-            if let Some(template) = self.map.get(&key) {
-                if !response.shed && response.diagnostics.is_empty() {
-                    return template.line_with_exec(
-                        response.disposition,
-                        id,
-                        response.wall_micros,
-                        exec,
-                    );
-                }
-            } else if let Some(template) = response.key_template() {
-                let line =
-                    template.line_with_exec(response.disposition, id, response.wall_micros, exec);
-                if self.map.len() >= RenderCache::CAP {
-                    self.map.clear();
-                }
-                self.map.insert(key, template);
-                return line;
-            }
-        }
-        response.to_json(id).render()
-    }
 }
 
 /// One request line end-to-end on the calling thread. Takes the line
@@ -230,13 +183,12 @@ fn answer(
     parsed: Result<Json, String>,
     errors: &AtomicU64,
     session: &SessionOptions<'_>,
-    renders: &mut RenderCache,
-) -> Option<String> {
+) -> String {
     let parsed = match parsed {
         Ok(v) => v,
         Err(e) => {
             errors.fetch_add(1, Relaxed);
-            return Some(error_line(format!("bad JSON: {e}"), None));
+            return error_line(format!("bad JSON: {e}"), None);
         }
     };
     if let Some(cmd) = parsed.get("cmd").and_then(Json::as_str) {
@@ -261,7 +213,7 @@ fn answer(
     if response.outcome.is_err() {
         errors.fetch_add(1, Relaxed);
     }
-    Some(renders.line(&response, id.as_ref()))
+    response.wire_line(id.as_ref())
 }
 
 /// Renders a control command's response line.
@@ -271,7 +223,7 @@ fn control_line(
     parsed: &Json,
     session: &SessionOptions<'_>,
     errors: &AtomicU64,
-) -> Option<String> {
+) -> String {
     let mut fields = match cmd {
         "metrics" => match parsed.get("format").and_then(Json::as_str) {
             None | Some("json") => vec![
@@ -315,7 +267,7 @@ fn control_line(
     if let Some(id) = parsed.get("id") {
         fields.push(("id", id.clone()));
     }
-    Some(Json::obj(fields).render())
+    Json::obj(fields).render()
 }
 
 fn error_line(message: String, id: Option<&Json>) -> String {
@@ -416,14 +368,6 @@ fn next_frame(
     }
 }
 
-fn serve_inline(
-    service: &SpecializeService,
-    input: impl BufRead,
-    output: impl Write,
-) -> io::Result<ServeSummary> {
-    handle_session(service, input, output, &SessionOptions::default())
-}
-
 /// Runs one line-loop session over any transport: requests answered on
 /// the calling thread, in order.
 ///
@@ -446,7 +390,6 @@ pub fn handle_session(
     let mut summary = ServeSummary::default();
     let errors = AtomicU64::new(0);
     let mut ctx = EngineContext::new();
-    let mut renders = RenderCache::new();
     loop {
         if session.draining.is_some_and(|d| d.load(Relaxed)) {
             break;
@@ -472,10 +415,12 @@ pub fn handle_session(
         if cmd.is_none() {
             summary.requests += 1;
         }
-        if let Some(rendered) = answer(service, &mut ctx, parsed, &errors, session, &mut renders) {
-            writeln!(output, "{rendered}")?;
-            output.flush()?;
-        }
+        writeln!(
+            output,
+            "{}",
+            answer(service, &mut ctx, parsed, &errors, session)
+        )?;
+        output.flush()?;
         if shutdown {
             if let Some(hook) = session.on_shutdown {
                 hook();
@@ -511,18 +456,14 @@ fn serve_parallel(
                 .stack_size(WORKER_STACK_BYTES)
                 .spawn_scoped(scope, move || {
                     let mut ctx = EngineContext::new();
-                    let mut renders = RenderCache::new();
                     loop {
                         let job = job_rx.lock().expect("job queue poisoned").recv();
                         let Ok((seq, line)) = job else { return };
                         let session = SessionOptions::default();
                         let parsed = Json::parse(&line);
-                        if let Some(rendered) =
-                            answer(service, &mut ctx, parsed, errors, &session, &mut renders)
-                        {
-                            if out_tx.send((seq, rendered)).is_err() {
-                                return;
-                            }
+                        let rendered = answer(service, &mut ctx, parsed, errors, &session);
+                        if out_tx.send((seq, rendered)).is_err() {
+                            return;
                         }
                     }
                 });
@@ -532,7 +473,6 @@ fn serve_parallel(
         }
 
         let mut inline_ctx = EngineContext::new();
-        let mut inline_renders = RenderCache::new();
         let mut seq = 0u64;
         loop {
             let line = match next_frame(&mut input, None)? {
@@ -558,9 +498,8 @@ fn serve_parallel(
                     // in the output matches their position in the input.
                     let parsed = parsed.as_ref().expect("cmd implies parsed");
                     let session = SessionOptions::default();
-                    if let Some(rendered) = control_line(service, cmd, parsed, &session, &errors) {
-                        let _ = out_tx.send((seq, rendered));
-                    }
+                    let rendered = control_line(service, cmd, parsed, &session, &errors);
+                    let _ = out_tx.send((seq, rendered));
                     seq += 1;
                     if cmd == "shutdown" {
                         break;
@@ -571,16 +510,9 @@ fn serve_parallel(
                     if workers == 0 {
                         // Could not spawn any worker: degrade to inline.
                         let session = SessionOptions::default();
-                        if let Some(rendered) = answer(
-                            service,
-                            &mut inline_ctx,
-                            Json::parse(&line),
-                            &errors,
-                            &session,
-                            &mut inline_renders,
-                        ) {
-                            let _ = out_tx.send((seq, rendered));
-                        }
+                        let parsed = Json::parse(&line);
+                        let rendered = answer(service, &mut inline_ctx, parsed, &errors, &session);
+                        let _ = out_tx.send((seq, rendered));
                     } else {
                         job_tx
                             .send((seq, line))
@@ -788,7 +720,8 @@ mod tests {
     #[test]
     fn templated_execute_answers_carry_their_own_values() {
         // One cache key, three inputs: the later answers assemble from the
-        // template the first one left, each with its own exec outcome.
+        // fragment the key's cache entry keeps, each with its own exec
+        // outcome.
         let line = |id: u64, x: &str| {
             format!(r#"{{"id": {id}, "program": "{POWER}", "inputs": "_ 3", "execute": ["{x}"]}}"#)
         };

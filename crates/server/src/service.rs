@@ -197,46 +197,34 @@ impl SpecializeService {
                     } else {
                         fetched.disposition
                     };
-                match fetched.outcome {
-                    Err(msg) => SpecializeResponse {
-                        outcome: Err(msg),
-                        disposition,
-                        key: Some(resolved.key),
-                        wall_micros: 0,
-                        diagnostics: Vec::new(),
-                        exec: None,
-                        shed: false,
-                    },
-                    Ok(outcome) => {
-                        let mut degradations = outcome.degradations.clone();
-                        if fetched.rejected_bytes.is_some() {
-                            // The residual was computed but was too large
-                            // to retain: a capacity degradation this
-                            // request should see in its own report.
-                            merge_event(
-                                &mut degradations,
-                                DegradationEvent {
-                                    budget: Budget::CacheBytes,
-                                    function: Some(resolved.entry),
-                                    depth: 0,
-                                    count: 1,
-                                },
-                            );
-                        }
-                        SpecializeResponse {
-                            outcome: Ok(SpecializeOutput {
-                                residual: outcome.residual.clone(),
-                                stats: outcome.stats,
-                                degradations,
-                            }),
-                            disposition,
-                            key: Some(resolved.key),
-                            wall_micros: 0,
-                            diagnostics: Vec::new(),
-                            exec: None,
-                            shed: false,
-                        }
+                let outcome = fetched.outcome.map(|outcome| {
+                    let mut degradations = outcome.degradations.clone();
+                    if fetched.rejected_bytes.is_some() {
+                        // The residual was computed but was too large to
+                        // retain: a capacity degradation this request
+                        // should see in its own report.
+                        merge_event(
+                            &mut degradations,
+                            DegradationEvent {
+                                budget: Budget::CacheBytes,
+                                function: Some(resolved.entry),
+                                depth: 0,
+                                count: 1,
+                            },
+                        );
                     }
+                    SpecializeOutput {
+                        residual: outcome.residual.clone(),
+                        stats: outcome.stats,
+                        degradations,
+                    }
+                });
+                SpecializeResponse {
+                    outcome,
+                    disposition,
+                    key: Some(resolved.key),
+                    rendered: fetched.rendered,
+                    ..SpecializeResponse::error("")
                 }
             }
         };
