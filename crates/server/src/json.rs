@@ -4,9 +4,24 @@
 //! JSON-lines protocol is implemented here rather than on serde: an
 //! RFC 8259 subset sufficient for the request/response schema — objects,
 //! arrays, strings (with `\uXXXX` escapes), numbers, booleans, null.
-//! Numbers are kept as `f64`, which is exact for every integer the
-//! protocol carries (budgets fit comfortably in 53 bits).
+//! Numbers are kept as `f64`, which is exact for every budget the
+//! protocol accepts (a budget must be an integer of at most 9·10¹⁵, below
+//! 2⁵³).
+//!
+//! The same [`Parser`] reads two ways. [`Json::parse`] builds a tree.
+//! A request line is read field by field instead
+//! ([`crate::request::RequestLine`]): the known fields go straight into
+//! slots, strings without escapes stay borrowed from the line, and
+//! everything else is read as a value and dropped. Both share every
+//! scanner step, so a malformed line reports the same first error at the
+//! same byte either way.
+//!
+//! A request's `id` is echoed in its answer ([`Id`]). An `f64` holds an
+//! integer exactly only up to 2⁵³, so an integer-literal `id` longer than
+//! 15 digits also keeps the digits it was sent with, and its answer
+//! echoes those.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -48,17 +63,10 @@ impl Json {
     ///
     /// A human-readable message with a byte offset on malformed input.
     pub fn parse(src: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            src,
-            bytes: src.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser::new(src);
         p.skip_ws();
         let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing input at byte {}", p.pos));
-        }
+        p.finish()?;
         Ok(v)
     }
 
@@ -69,7 +77,7 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -134,7 +142,7 @@ impl Json {
     /// The numeric payload as a non-negative integer, if exact.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 9.0e15 => Some(*n as u64),
+            Json::Num(n) => exact_u64(*n),
             _ => None,
         }
     }
@@ -169,6 +177,79 @@ impl Json {
     pub fn num(n: u64) -> Json {
         Json::Num(n as f64)
     }
+}
+
+/// `n` as a non-negative integer, if it is one of at most 9·10¹⁵: the rule
+/// [`Json::as_u64`] and a request's budgets apply.
+pub(crate) fn exact_u64(n: f64) -> Option<u64> {
+    (n.fract() == 0.0 && (0.0..=9.0e15).contains(&n)).then_some(n as u64)
+}
+
+/// A request's `id`, as its answer echoes it: the value [`Json::parse`]
+/// reads, and for an integer literal of more than 15 digits the digits
+/// themselves, which the `f64` may have rounded. Up to 15 digits the
+/// `f64` holds the integer and renders it back digit for digit, so every
+/// other `id` echoes as its value renders.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Id {
+    value: Json,
+    digits: Option<Box<str>>,
+}
+
+impl Id {
+    /// The value as [`Json::parse`] reads it.
+    pub fn value(&self) -> &Json {
+        &self.value
+    }
+
+    /// Writes the echo: the kept digits, or the value rendered.
+    pub(crate) fn write(&self, out: &mut String) {
+        match &self.digits {
+            Some(digits) => out.push_str(digits),
+            None => self.value.write(out),
+        }
+    }
+}
+
+impl From<Json> for Id {
+    fn from(value: Json) -> Id {
+        Id {
+            value,
+            digits: None,
+        }
+    }
+}
+
+/// Renders `v`, an object without an `id` key, with `"id"` and `id`'s
+/// echo where sorted keys put it: the bytes `v` with `id` inserted would
+/// render, but for the digits an [`Id`] keeps.
+pub(crate) fn render_with_id(v: &Json, id: Option<&Id>) -> String {
+    let (Json::Obj(map), Some(id)) = (v, id) else {
+        return v.render();
+    };
+    let mut out = String::from("{");
+    let mut pending = Some(id);
+    for (k, x) in map {
+        if k.as_str() > "id" {
+            if let Some(id) = pending.take() {
+                out.push_str("\"id\":");
+                id.write(&mut out);
+                out.push(',');
+            }
+        }
+        write_json_string(k, &mut out);
+        out.push(':');
+        x.write(&mut out);
+        out.push(',');
+    }
+    if let Some(id) = pending {
+        out.push_str("\"id\":");
+        id.write(&mut out);
+        out.push(',');
+    }
+    out.pop();
+    out.push('}');
+    out
 }
 
 /// Writes `n` exactly as [`Json::num`]`(n)` renders: `Json::num` stores
@@ -217,7 +298,29 @@ pub(crate) fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-struct Parser<'a> {
+/// The eight bytes of `bytes` from `at` as one word, if eight remain.
+pub(crate) fn word_at(bytes: &[u8], at: usize) -> Option<u64> {
+    let word = bytes.get(at..at + 8)?;
+    Some(u64::from_le_bytes(word.try_into().expect("eight bytes")))
+}
+
+const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+
+/// Whether a byte of `w` is below `n`, for `n` at most 0x80. If none is,
+/// subtracting `n` from every byte borrows nothing, and a byte it leaves
+/// with the high bit set had that bit already, which `!w` masks. If one
+/// is, the lowest such byte wraps to a byte with the high bit set.
+pub(crate) fn has_byte_below(w: u64, n: u8) -> bool {
+    w.wrapping_sub(ONES * u64::from(n)) & !w & (ONES << 7) != 0
+}
+
+/// Whether a byte of `w` is `b`: that byte of `w ^ b…b` is zero.
+pub(crate) fn has_byte(w: u64, b: u8) -> bool {
+    has_byte_below(w ^ (ONES * u64::from(b)), 1)
+}
+
+/// The scanner behind [`Json::parse`] and the request-line reader.
+pub(crate) struct Parser<'a> {
     src: &'a str,
     /// `src` as bytes: the scanner decides on single bytes.
     bytes: &'a [u8],
@@ -225,7 +328,24 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
+    pub(crate) fn new(src: &'a str) -> Parser<'a> {
+        Parser {
+            src,
+            bytes: src.as_bytes(),
+            pos: 0,
+        }
+    }
+
+    /// Requires nothing but whitespace after the document.
+    pub(crate) fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing input at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
+    pub(crate) fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
@@ -235,11 +355,20 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    pub(crate) fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    /// Steps over the byte [`Parser::peek`] saw.
+    pub(crate) fn bump(&mut self) {
+        self.pos += 1;
+    }
+
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
+
+    pub(crate) fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -248,7 +377,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    pub(crate) fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
@@ -303,13 +432,18 @@ impl<'a> Parser<'a> {
     /// its exact size; one with escapes gets one buffer the size of its
     /// encoded text, which no escape decodes to more bytes than it
     /// spells.
-    fn string(&mut self) -> Result<String, String> {
+    pub(crate) fn string(&mut self) -> Result<String, String> {
+        self.string_cow().map(Cow::into_owned)
+    }
+
+    /// [`Parser::string`], borrowing a string without escapes from `src`.
+    pub(crate) fn string_cow(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
         let mut start = self.pos;
         self.scan_run()?;
         if self.bytes[self.pos] == b'"' {
             self.pos += 1;
-            return Ok(self.src[start..self.pos - 1].to_owned());
+            return Ok(Cow::Borrowed(&self.src[start..self.pos - 1]));
         }
         let mut out = String::with_capacity(self.encoded_len(start));
         loop {
@@ -317,7 +451,7 @@ impl<'a> Parser<'a> {
             let b = self.bytes[self.pos];
             self.pos += 1;
             match b {
-                b'"' => return Ok(out),
+                b'"' => return Ok(Cow::Owned(out)),
                 b'\\' => {
                     let Some(esc) = self.peek() else {
                         return Err("unterminated escape".to_owned());
@@ -364,8 +498,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Advances over plain string text, to the next `"` or `\`.
+    /// Advances over plain string text, to the next `"` or `\`: eight
+    /// bytes at a time while none of them ends the run, then byte by byte.
     fn scan_run(&mut self) -> Result<(), String> {
+        while let Some(w) = word_at(self.bytes, self.pos) {
+            if has_byte(w, b'"') || has_byte(w, b'\\') || has_byte_below(w, 0x20) {
+                break;
+            }
+            self.pos += 8;
+        }
         loop {
             match self.bytes.get(self.pos) {
                 None => return Err("unterminated string".to_owned()),
@@ -380,11 +521,17 @@ impl<'a> Parser<'a> {
     /// read, or to the end of input: a bound on its decoded length.
     fn encoded_len(&self, from: usize) -> usize {
         let mut i = from;
-        while let Some(&b) = self.bytes.get(i) {
-            match b {
-                b'"' => break,
-                b'\\' => i += 2,
-                _ => i += 1,
+        loop {
+            while let Some(w) = word_at(self.bytes, i) {
+                if has_byte(w, b'"') || has_byte(w, b'\\') {
+                    break;
+                }
+                i += 8;
+            }
+            match self.bytes.get(i) {
+                None | Some(b'"') => break,
+                Some(b'\\') => i += 2,
+                Some(_) => i += 1,
             }
         }
         i.min(self.bytes.len()) - from
@@ -403,6 +550,22 @@ impl<'a> Parser<'a> {
             .ok_or_else(|| "bad \\u escape".to_owned())?;
         self.pos += 4;
         Ok(n)
+    }
+
+    /// Reads a value as an [`Id`], keeping the digits of a long integer
+    /// literal.
+    pub(crate) fn id(&mut self) -> Result<Id, String> {
+        let start = self.pos;
+        let value = self.value()?;
+        let text = &self.src[start..self.pos];
+        let digits = text.strip_prefix('-').unwrap_or(text);
+        let long_integer = digits.len() > 15
+            && !digits.starts_with('0')
+            && digits.bytes().all(|b| b.is_ascii_digit());
+        Ok(Id {
+            value,
+            digits: long_integer.then(|| text.into()),
+        })
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -498,6 +661,40 @@ mod tests {
         for bad in ["", "{", "[1,", "tru", "\"abc", "{\"a\" 1}", "1 2", "nan"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn ids_echo_long_integer_literals_digit_for_digit() {
+        let echo = |src: &str| {
+            let mut p = Parser::new(src);
+            let id = p.id().unwrap();
+            assert_eq!(Json::parse(src).as_ref(), Ok(id.value()), "{src}");
+            let mut out = String::new();
+            id.write(&mut out);
+            out
+        };
+        for (src, echoed) in [
+            ("9007199254740993", "9007199254740993"),
+            ("-12345678901234567890", "-12345678901234567890"),
+            ("123456789012345", "123456789012345"),
+            ("-0", "0"),
+            ("1.0", "1"),
+            ("9007199254740993.0", "9007199254740992"),
+            ("0000000000000000001", "1"),
+            ("\"x\"", "\"x\""),
+        ] {
+            assert_eq!(echo(src), echoed, "{src}");
+        }
+        // Spliced where sorted keys put it, also into an object without
+        // other keys.
+        let id = Id::from(Json::num(7));
+        let v = Json::obj(vec![("ok", Json::Bool(true)), ("error", Json::Null)]);
+        assert_eq!(
+            render_with_id(&v, Some(&id)),
+            r#"{"error":null,"id":7,"ok":true}"#
+        );
+        assert_eq!(render_with_id(&Json::obj(vec![]), Some(&id)), r#"{"id":7}"#);
+        assert_eq!(render_with_id(&v, None), v.render());
     }
 
     #[test]

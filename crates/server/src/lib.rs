@@ -47,7 +47,7 @@ pub mod spec;
 pub use cache::ResidualCache;
 pub use driver::{run_batch, BatchOptions, WORKER_STACK_BYTES};
 pub use engine::EngineContext;
-pub use json::Json;
+pub use json::{Id, Json};
 pub use key::{analysis_key, residual_key, CacheKey};
 pub use metrics::{Metrics, MetricsSnapshot, WALL_BUCKETS};
 pub use net::{NetOptions, NetServer, NetSummary};
@@ -56,7 +56,7 @@ pub use persist::{
     StaleGcReport, FORMAT_VERSION,
 };
 pub use request::{
-    CacheDisposition, Engine, ExecEngine, ExecOutcome, ExecuteRequest, RenderedHit,
+    CacheDisposition, Engine, ExecEngine, ExecOutcome, ExecuteRequest, RenderedHit, RequestLine,
     SpecializeOutput, SpecializeRequest, SpecializeResponse, MAX_WIRE_RECURSION_DEPTH,
 };
 pub use serve::{

@@ -9,13 +9,14 @@
 //! also guarantees that every worker sees exactly the request the client
 //! sent, not a shared mutable view of it.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 
 use ppe_lang::diag::Diagnostic;
 use ppe_online::{DegradationEvent, ExhaustionPolicy, PeConfig, PeStats};
 
-use crate::json::{write_json_string, write_json_u64, Json};
+use crate::json::{exact_u64, render_with_id, write_json_string, write_json_u64, Id, Json, Parser};
 use crate::key::CacheKey;
 use crate::spec::ALL_FACETS;
 
@@ -192,19 +193,21 @@ impl SpecializeRequest {
     /// A request against `program_src` with every default: online engine,
     /// all facets, default policy, no optimizer.
     pub fn new(program_src: impl Into<String>, inputs: Vec<String>) -> SpecializeRequest {
-        SpecializeRequest::with_facets(program_src, inputs, all_facet_names())
+        SpecializeRequest {
+            inputs,
+            facets: all_facet_names(),
+            ..SpecializeRequest::with_program(Arc::new(program_src.into()))
+        }
     }
 
-    fn with_facets(
-        program_src: impl Into<String>,
-        inputs: Vec<String>,
-        facets: Vec<String>,
-    ) -> SpecializeRequest {
+    /// A request against `program_src` with every other field empty or
+    /// default.
+    fn with_program(program_src: Arc<String>) -> SpecializeRequest {
         SpecializeRequest {
-            program_src: Arc::new(program_src.into()),
+            program_src,
             function: None,
-            inputs,
-            facets,
+            inputs: Vec::new(),
+            facets: Vec::new(),
             engine: Engine::Online,
             optimize: false,
             config: PeConfig::default(),
@@ -227,76 +230,302 @@ impl SpecializeRequest {
     /// static evaluation). Unknown fields are ignored (forward
     /// compatibility).
     ///
+    /// The tree fills the same slots a [`RequestLine`] reads a line into,
+    /// and one function checks them, so both give the same request or
+    /// the same error.
+    ///
     /// # Errors
     ///
     /// Describes the first missing or ill-typed field.
     pub fn from_json(v: &Json) -> Result<SpecializeRequest, String> {
-        let program = v
-            .get("program")
-            .and_then(Json::as_str)
-            .ok_or("request needs a `program` string")?;
-        let mut req = SpecializeRequest::with_facets(program, Vec::new(), Vec::new());
-        req.inputs = match v.get("inputs") {
-            None => Vec::new(),
-            Some(Json::Str(s)) => s.split_whitespace().map(str::to_owned).collect(),
-            Some(Json::Arr(xs)) => xs
+        Slots::from_tree(v).build(None)
+    }
+}
+
+/// One request line, read in one pass over its text: each known field's
+/// value in its slot, strings without escapes still borrowed from the
+/// line. [`Json::parse`] followed by [`SpecializeRequest::from_json`]
+/// gives the same request, or the same error, at about twice the cost:
+/// it builds a tree and copies every string into it first.
+///
+/// A duplicate key keeps its last value, as a [`Json`] object does.
+/// Unknown keys are read as JSON and dropped. The field checks run only in
+/// [`RequestLine::request`], after the whole line is read, so a line with
+/// two bad fields reports the one `from_json` reports.
+pub struct RequestLine<'a> {
+    slots: Slots<'a>,
+}
+
+impl<'a> RequestLine<'a> {
+    /// Reads one line.
+    ///
+    /// # Errors
+    ///
+    /// The first JSON error, worded and placed as [`Json::parse`] words
+    /// and places it.
+    pub fn parse(line: &'a str) -> Result<RequestLine<'a>, String> {
+        Slots::read(line).map(|slots| RequestLine { slots })
+    }
+
+    /// The `cmd` of a control message, when it is a string.
+    pub fn cmd(&self) -> Option<&str> {
+        slot_str(&self.slots.cmd)
+    }
+
+    /// The `format` of a control message, when it is a string.
+    pub fn format(&self) -> Option<&str> {
+        slot_str(&self.slots.format)
+    }
+
+    /// The `id` to echo, taken out of the line.
+    pub fn take_id(&mut self) -> Option<Id> {
+        self.slots.id.take()
+    }
+
+    /// The request, or the first field error. `program`, when given,
+    /// stands in for a missing `program` field of an object line, shared
+    /// rather than copied.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SpecializeRequest::from_json`].
+    pub fn request(self, program: Option<&Arc<String>>) -> Result<SpecializeRequest, String> {
+        self.slots.build(program)
+    }
+}
+
+/// A known field's value, as much of it as the field checks look at.
+enum Slot<'a> {
+    Str(Cow<'a, str>),
+    /// An array of strings.
+    Strs(Vec<String>),
+    /// An array with an element that is not a string.
+    Mixed,
+    Num(f64),
+    Bool(bool),
+    /// `null` or an object.
+    Other,
+}
+
+impl<'a> Slot<'a> {
+    fn of(v: &'a Json) -> Slot<'a> {
+        match v {
+            Json::Str(s) => Slot::Str(Cow::Borrowed(s)),
+            Json::Arr(xs) => xs
                 .iter()
-                .map(|x| {
-                    x.as_str()
-                        .map(str::to_owned)
-                        .ok_or_else(|| "`inputs` elements must be strings".to_owned())
-                })
-                .collect::<Result<_, _>>()?,
-            Some(_) => return Err("`inputs` must be an array of strings".to_owned()),
-        };
-        if let Some(f) = v.get("function") {
-            req.function = Some(f.as_str().ok_or("`function` must be a string")?.to_owned());
+                .map(|x| x.as_str().map(str::to_owned))
+                .collect::<Option<_>>()
+                .map_or(Slot::Mixed, Slot::Strs),
+            Json::Num(n) => Slot::Num(*n),
+            Json::Bool(b) => Slot::Bool(*b),
+            Json::Null | Json::Obj(_) => Slot::Other,
         }
-        if let Some(e) = v.get("engine") {
-            req.engine = Engine::parse(e.as_str().ok_or("`engine` must be a string")?)?;
-        }
-        req.facets = match v.get("facets") {
-            None => all_facet_names(),
-            Some(fs) => fs
-                .as_array()
-                .ok_or("`facets` must be an array")?
-                .iter()
-                .map(|x| {
-                    x.as_str()
-                        .map(str::to_owned)
-                        .ok_or_else(|| "`facets` elements must be strings".to_owned())
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        if let Some(o) = v.get("optimize") {
-            req.optimize = o.as_bool().ok_or("`optimize` must be a boolean")?;
-        }
-        let num = |field: &str| -> Result<Option<u64>, String> {
-            match v.get(field) {
-                None => Ok(None),
-                Some(x) => x
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| format!("`{field}` must be a non-negative integer")),
+    }
+
+    /// Reads the value at `p`, with the scanner steps [`Parser::value`]
+    /// takes.
+    fn read(p: &mut Parser<'a>) -> Result<Slot<'a>, String> {
+        match p.peek() {
+            Some(b'"') => Ok(Slot::Str(p.string_cow()?)),
+            Some(b'[') => {
+                p.bump();
+                let mut strs = Some(Vec::new());
+                p.skip_ws();
+                if p.peek() == Some(b']') {
+                    p.bump();
+                    return Ok(Slot::Strs(Vec::new()));
+                }
+                loop {
+                    p.skip_ws();
+                    match (&mut strs, p.peek()) {
+                        (Some(xs), Some(b'"')) => xs.push(p.string()?),
+                        _ => {
+                            p.value()?;
+                            strs = None;
+                        }
+                    }
+                    p.skip_ws();
+                    match p.peek() {
+                        Some(b',') => p.bump(),
+                        Some(b']') => {
+                            p.bump();
+                            return Ok(strs.map_or(Slot::Mixed, Slot::Strs));
+                        }
+                        _ => return Err(format!("expected `,` or `]` at byte {}", p.pos())),
+                    }
+                }
             }
+            _ => Ok(match p.value()? {
+                Json::Num(n) => Slot::Num(n),
+                Json::Bool(b) => Slot::Bool(b),
+                _ => Slot::Other,
+            }),
+        }
+    }
+}
+
+fn slot_str<'s>(slot: &'s Option<Slot<'_>>) -> Option<&'s str> {
+    match slot {
+        Some(Slot::Str(s)) => Some(s),
+        _ => None,
+    }
+}
+
+/// The slots of every field a request line may carry.
+#[derive(Default)]
+struct Slots<'a> {
+    /// Whether the line is an object: only an object's missing `program`
+    /// takes a batch's default.
+    object: bool,
+    id: Option<Id>,
+    cmd: Option<Slot<'a>>,
+    format: Option<Slot<'a>>,
+    program: Option<Slot<'a>>,
+    inputs: Option<Slot<'a>>,
+    function: Option<Slot<'a>>,
+    engine: Option<Slot<'a>>,
+    facets: Option<Slot<'a>>,
+    optimize: Option<Slot<'a>>,
+    fuel: Option<Slot<'a>>,
+    deadline_ms: Option<Slot<'a>>,
+    max_unfold_depth: Option<Slot<'a>>,
+    max_specializations: Option<Slot<'a>>,
+    max_residual_size: Option<Slot<'a>>,
+    max_recursion_depth: Option<Slot<'a>>,
+    on_exhaustion: Option<Slot<'a>>,
+    constraints: Option<Slot<'a>>,
+    spec_engine: Option<Slot<'a>>,
+    execute: Option<Slot<'a>>,
+    exec_engine: Option<Slot<'a>>,
+}
+
+impl<'a> Slots<'a> {
+    /// The slot for `key`, if it is a known field other than `id`.
+    fn slot(&mut self, key: &str) -> Option<&mut Option<Slot<'a>>> {
+        Some(match key {
+            "cmd" => &mut self.cmd,
+            "format" => &mut self.format,
+            "program" => &mut self.program,
+            "inputs" => &mut self.inputs,
+            "function" => &mut self.function,
+            "engine" => &mut self.engine,
+            "facets" => &mut self.facets,
+            "optimize" => &mut self.optimize,
+            "fuel" => &mut self.fuel,
+            "deadline_ms" => &mut self.deadline_ms,
+            "max_unfold_depth" => &mut self.max_unfold_depth,
+            "max_specializations" => &mut self.max_specializations,
+            "max_residual_size" => &mut self.max_residual_size,
+            "max_recursion_depth" => &mut self.max_recursion_depth,
+            "on_exhaustion" => &mut self.on_exhaustion,
+            "constraints" => &mut self.constraints,
+            "spec_engine" => &mut self.spec_engine,
+            "execute" => &mut self.execute,
+            "exec_engine" => &mut self.exec_engine,
+            _ => return None,
+        })
+    }
+
+    fn from_tree(v: &'a Json) -> Slots<'a> {
+        let mut slots = Slots::default();
+        if let Json::Obj(map) = v {
+            slots.object = true;
+            for (key, x) in map {
+                if let Some(slot) = slots.slot(key) {
+                    *slot = Some(Slot::of(x));
+                }
+            }
+            slots.id = map.get("id").cloned().map(Id::from);
+        }
+        slots
+    }
+
+    /// Reads `line` with the scanner steps [`Json::parse`] takes.
+    fn read(line: &'a str) -> Result<Slots<'a>, String> {
+        let mut slots = Slots::default();
+        let mut p = Parser::new(line);
+        p.skip_ws();
+        if p.peek() != Some(b'{') {
+            p.value()?;
+            p.finish()?;
+            return Ok(slots);
+        }
+        slots.object = true;
+        p.bump();
+        p.skip_ws();
+        if p.peek() == Some(b'}') {
+            p.bump();
+            p.finish()?;
+            return Ok(slots);
+        }
+        loop {
+            p.skip_ws();
+            let key = p.string_cow()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            if key == "id" {
+                slots.id = Some(p.id()?);
+            } else if let Some(slot) = slots.slot(&key) {
+                *slot = Some(Slot::read(&mut p)?);
+            } else {
+                p.value()?;
+            }
+            p.skip_ws();
+            match p.peek() {
+                Some(b',') => p.bump(),
+                Some(b'}') => {
+                    p.bump();
+                    p.finish()?;
+                    return Ok(slots);
+                }
+                _ => return Err(format!("expected `,` or `}}` at byte {}", p.pos())),
+            }
+        }
+    }
+
+    /// Checks every slot, in one fixed order, and builds the request,
+    /// copying each string once.
+    fn build(self, default_program: Option<&Arc<String>>) -> Result<SpecializeRequest, String> {
+        let program_src = match (self.program, default_program) {
+            (Some(Slot::Str(s)), _) => Arc::new(s.into_owned()),
+            (None, Some(program)) if self.object => Arc::clone(program),
+            _ => return Err("request needs a `program` string".to_owned()),
         };
-        if let Some(fuel) = num("fuel")? {
+        let mut req = SpecializeRequest::with_program(program_src);
+        req.inputs = strings(self.inputs, "inputs")?.unwrap_or_default();
+        if let Some(f) = self.function {
+            req.function = Some(string(f, "function")?.into_owned());
+        }
+        if let Some(e) = self.engine {
+            req.engine = Engine::parse(&string(e, "engine")?)?;
+        }
+        req.facets = match self.facets {
+            None => all_facet_names(),
+            Some(Slot::Strs(xs)) => xs,
+            Some(Slot::Mixed) => return Err("`facets` elements must be strings".to_owned()),
+            Some(_) => return Err("`facets` must be an array".to_owned()),
+        };
+        if let Some(o) = self.optimize {
+            req.optimize = boolean(o, "optimize")?;
+        }
+        if let Some(fuel) = number(self.fuel, "fuel")? {
             req.config.fuel = fuel;
         }
-        if let Some(ms) = num("deadline_ms")? {
+        if let Some(ms) = number(self.deadline_ms, "deadline_ms")? {
             req.config.deadline = Some(Duration::from_millis(ms));
         }
-        if let Some(d) = num("max_unfold_depth")? {
+        if let Some(d) = number(self.max_unfold_depth, "max_unfold_depth")? {
             req.config.max_unfold_depth =
                 u32::try_from(d).map_err(|_| "`max_unfold_depth` too large".to_owned())?;
         }
-        if let Some(n) = num("max_specializations")? {
+        if let Some(n) = number(self.max_specializations, "max_specializations")? {
             req.config.max_specializations = n as usize;
         }
-        if let Some(n) = num("max_residual_size")? {
+        if let Some(n) = number(self.max_residual_size, "max_residual_size")? {
             req.config.max_residual_size = n as usize;
         }
-        if let Some(d) = num("max_recursion_depth")? {
+        if let Some(d) = number(self.max_recursion_depth, "max_recursion_depth")? {
             // Unlike the other budgets this one guards *native* stack
             // space, so the wire cannot raise it arbitrarily: cap it to
             // what the big worker stacks (`WORKER_STACK_BYTES`) absorb
@@ -305,8 +534,8 @@ impl SpecializeRequest {
             req.config.max_recursion_depth =
                 u32::try_from(d.min(MAX_WIRE_RECURSION_DEPTH)).expect("clamped to u32 range");
         }
-        if let Some(p) = v.get("on_exhaustion") {
-            req.config.on_exhaustion = match p.as_str().ok_or("`on_exhaustion` must be a string")? {
+        if let Some(p) = self.on_exhaustion {
+            req.config.on_exhaustion = match &*string(p, "on_exhaustion")? {
                 "fail" => ExhaustionPolicy::Fail,
                 "degrade" => ExhaustionPolicy::Degrade,
                 other => {
@@ -316,38 +545,61 @@ impl SpecializeRequest {
                 }
             };
         }
-        if let Some(c) = v.get("constraints") {
-            req.config.propagate_constraints =
-                c.as_bool().ok_or("`constraints` must be a boolean")?;
+        if let Some(c) = self.constraints {
+            req.config.propagate_constraints = boolean(c, "constraints")?;
         }
-        if let Some(e) = v.get("spec_engine") {
-            req.spec_engine =
-                SpecEngine::parse(e.as_str().ok_or("`spec_engine` must be a string")?)?;
+        if let Some(e) = self.spec_engine {
+            req.spec_engine = SpecEngine::parse(&string(e, "spec_engine")?)?;
         }
-        let exec_inputs = match v.get("execute") {
-            None => None,
-            Some(Json::Str(s)) => Some(s.split_whitespace().map(str::to_owned).collect()),
-            Some(Json::Arr(xs)) => Some(
-                xs.iter()
-                    .map(|x| {
-                        x.as_str()
-                            .map(str::to_owned)
-                            .ok_or_else(|| "`execute` elements must be strings".to_owned())
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-            Some(_) => return Err("`execute` must be an array of strings".to_owned()),
-        };
-        if let Some(inputs) = exec_inputs {
-            let engine = match v.get("exec_engine") {
+        if let Some(inputs) = strings(self.execute, "execute")? {
+            let engine = match self.exec_engine {
                 None => ExecEngine::default(),
-                Some(e) => ExecEngine::parse(e.as_str().ok_or("`exec_engine` must be a string")?)?,
+                Some(e) => ExecEngine::parse(&string(e, "exec_engine")?)?,
             };
             req.execute = Some(ExecuteRequest { inputs, engine });
-        } else if v.get("exec_engine").is_some() {
+        } else if self.exec_engine.is_some() {
             return Err("`exec_engine` needs an `execute` inputs field".to_owned());
         }
         Ok(req)
+    }
+}
+
+/// A string field's value.
+fn string<'a>(slot: Slot<'a>, field: &str) -> Result<Cow<'a, str>, String> {
+    match slot {
+        Slot::Str(s) => Ok(s),
+        _ => Err(format!("`{field}` must be a string")),
+    }
+}
+
+/// A boolean field's value.
+fn boolean(slot: Slot<'_>, field: &str) -> Result<bool, String> {
+    match slot {
+        Slot::Bool(b) => Ok(b),
+        _ => Err(format!("`{field}` must be a boolean")),
+    }
+}
+
+/// A budget's value: an integer of at most 9·10¹⁵ (see [`Json::as_u64`]).
+fn number(slot: Option<Slot<'_>>, field: &str) -> Result<Option<u64>, String> {
+    let Some(slot) = slot else { return Ok(None) };
+    match slot {
+        Slot::Num(n) => exact_u64(n),
+        _ => None,
+    }
+    .map(Some)
+    .ok_or_else(|| format!("`{field}` must be a non-negative integer"))
+}
+
+/// `inputs` or `execute`: an array of strings, or one string split on
+/// whitespace.
+fn strings(slot: Option<Slot<'_>>, field: &str) -> Result<Option<Vec<String>>, String> {
+    match slot {
+        None => Ok(None),
+        Some(Slot::Str(s)) => Ok(Some(s.split_whitespace().map(str::to_owned).collect())),
+        Some(Slot::Strs(xs)) => Ok(Some(xs)),
+        Some(Slot::Mixed) => Err(format!("`{field}` elements must be strings")),
+        Some(_) => Err(format!("`{field}` must be an array of strings")),
     }
 }
 
@@ -619,11 +871,12 @@ impl SpecializeResponse {
         ))
     }
 
-    /// This response's wire line, the bytes of `self.to_json(id).render()`:
-    /// a hit splices its cache entry's fragment, other answers that
-    /// [`SpecializeResponse::key_template`] accepts build one for the
-    /// line, and shed answers and answers with diagnostics render the tree.
-    pub(crate) fn wire_line(&self, id: Option<&Json>) -> String {
+    /// This response's wire line, the bytes of `self.to_json(id).render()`
+    /// but for the digits an [`Id`] keeps: a hit splices its cache entry's
+    /// fragment, other answers that [`SpecializeResponse::key_template`]
+    /// accepts build one for the line, and shed answers and answers with
+    /// diagnostics render the tree.
+    pub(crate) fn wire_line(&self, id: Option<&Id>) -> String {
         let template = self
             .rendered
             .clone()
@@ -631,7 +884,7 @@ impl SpecializeResponse {
             .or_else(|| self.key_template().map(Arc::new));
         match template {
             Some(t) => t.line_with_exec(self.disposition, id, self.wall_micros, self.exec.as_ref()),
-            None => self.to_json(id).render(),
+            None => render_with_id(&self.to_json(None), id),
         }
     }
 }
@@ -678,13 +931,8 @@ impl RenderedHit {
     /// key. Byte-identical to `response.to_json(id).render()` for every
     /// response [`SpecializeResponse::hit_template`] accepts (object keys
     /// stay in sorted order: cache, degradations, id, key, ok, residual,
-    /// stats, wall_us).
-    pub fn line(
-        &self,
-        disposition: CacheDisposition,
-        id: Option<&Json>,
-        wall_micros: u64,
-    ) -> String {
+    /// stats, wall_us), but for the digits an [`Id`] keeps.
+    pub fn line(&self, disposition: CacheDisposition, id: Option<&Id>, wall_micros: u64) -> String {
         self.line_with_exec(disposition, id, wall_micros, None)
     }
 
@@ -695,7 +943,7 @@ impl RenderedHit {
     pub fn line_with_exec(
         &self,
         disposition: CacheDisposition,
-        id: Option<&Json>,
+        id: Option<&Id>,
         wall_micros: u64,
         exec: Option<&ExecOutcome>,
     ) -> String {
@@ -717,7 +965,7 @@ impl RenderedHit {
         }
         if let Some(id) = id {
             out.push_str(",\"id\":");
-            out.push_str(&id.render());
+            id.write(&mut out);
         }
         out.push(',');
         out.push_str(&self.tail);
@@ -939,7 +1187,7 @@ mod tests {
             for (id, wall) in [(Some(Json::num(9)), 1u64), (None, 123456)] {
                 resp.wall_micros = wall;
                 assert_eq!(
-                    template.line(disposition, id.as_ref(), wall),
+                    template.line(disposition, id.clone().map(Id::from).as_ref(), wall),
                     resp.to_json(id.as_ref()).render(),
                 );
             }
@@ -997,6 +1245,7 @@ mod tests {
                     resp.wall_micros = wall;
                     let tree = resp.to_json(id.as_ref()).render();
                     for t in [&template, &own] {
+                        let id = id.clone().map(Id::from);
                         let line =
                             t.line_with_exec(disposition, id.as_ref(), wall, resp.exec.as_ref());
                         assert_eq!(line, tree);
@@ -1049,7 +1298,10 @@ mod tests {
         resp.key = Some(CacheKey(3));
         resp.disposition = CacheDisposition::Hit;
         let id = Json::num(1);
-        assert_eq!(resp.wire_line(Some(&id)), resp.to_json(Some(&id)).render());
+        assert_eq!(
+            resp.wire_line(Some(&Id::from(id.clone()))),
+            resp.to_json(Some(&id)).render()
+        );
         // The fragment holds no per-program diagnostics and no shed marker.
         resp.diagnostics = vec![Diagnostic::warning("W0003", "unused parameter")];
         assert_eq!(resp.wire_line(None), resp.to_json(None).render());

@@ -2,10 +2,11 @@
 //! on a writer.
 //!
 //! One input line is one request object (see
-//! [`SpecializeRequest::from_json`]) and produces exactly one output
-//! line, *in input order* even when several workers answer concurrently —
-//! a reordering writer buffers out-of-order completions. Lines whose
-//! object carries a `cmd` field are control messages:
+//! [`SpecializeRequest::from_json`] for its fields), read once by
+//! [`RequestLine`], and produces exactly one output line, *in input
+//! order* even when several workers answer concurrently — a reordering
+//! writer buffers out-of-order completions. Lines whose object carries a
+//! string `cmd` field are control messages:
 //!
 //! - `{"cmd": "metrics"}` — a point-in-time [`crate::metrics`] snapshot;
 //!   with `"format": "prometheus"` the snapshot is returned as Prometheus
@@ -44,9 +45,9 @@ use ppe_online::ExhaustionPolicy;
 
 use crate::driver::WORKER_STACK_BYTES;
 use crate::engine::EngineContext;
-use crate::json::Json;
+use crate::json::{has_byte, render_with_id, word_at, Id, Json};
 use crate::metrics::Metrics;
-use crate::request::{SpecializeRequest, SpecializeResponse};
+use crate::request::{RequestLine, SpecializeRequest, SpecializeResponse};
 use crate::service::SpecializeService;
 
 /// Longest request line the serve loop will buffer, in bytes.
@@ -173,29 +174,52 @@ pub fn serve(
     serve_parallel(service, input, output, options.jobs)
 }
 
-/// One request line end-to-end on the calling thread. Takes the line
-/// already parsed (or its parse error) so callers that must inspect the
-/// line themselves — for `cmd` routing, shutdown detection, request
-/// counting — parse exactly once.
+/// A request line as the serve loops hand it on: the `id` to echo and
+/// the request or its first field error, or the line's JSON error.
+type Decoded = Result<(Option<Id>, Result<SpecializeRequest, String>), String>;
+
+/// A control message's answer line, and whether the command was
+/// `shutdown`.
+struct Answered(String, bool);
+
+/// Reads `line` once: what [`answer`] takes, or, for a control message (a
+/// string `cmd`), its answer, given here on the reading thread.
+fn read(
+    service: &SpecializeService,
+    line: &str,
+    session: &SessionOptions<'_>,
+    errors: &AtomicU64,
+) -> Result<Decoded, Answered> {
+    let mut line = match RequestLine::parse(line) {
+        Ok(line) => line,
+        Err(e) => return Ok(Err(e)),
+    };
+    let id = line.take_id();
+    match line.cmd() {
+        Some(cmd) => Err(Answered(
+            control_line(service, cmd, line.format(), id.as_ref(), session, errors),
+            cmd == "shutdown",
+        )),
+        None => Ok(Ok((id, line.request(None)))),
+    }
+}
+
+/// One decoded request line end-to-end on the calling thread.
 fn answer(
     service: &SpecializeService,
     ctx: &mut EngineContext,
-    parsed: Result<Json, String>,
+    decoded: Decoded,
     errors: &AtomicU64,
     session: &SessionOptions<'_>,
 ) -> String {
-    let parsed = match parsed {
-        Ok(v) => v,
+    let (id, request) = match decoded {
+        Ok(decoded) => decoded,
         Err(e) => {
             errors.fetch_add(1, Relaxed);
-            return error_line(format!("bad JSON: {e}"), None);
+            return error_line(format!("bad JSON: {e}"));
         }
     };
-    if let Some(cmd) = parsed.get("cmd").and_then(Json::as_str) {
-        return control_line(service, cmd, &parsed, session, errors);
-    }
-    let id = parsed.get("id").cloned();
-    let response = match SpecializeRequest::from_json(&parsed) {
+    let response = match request {
         Ok(mut req) => {
             let metrics = service.metrics();
             let shed = match session.governor {
@@ -220,12 +244,13 @@ fn answer(
 fn control_line(
     service: &SpecializeService,
     cmd: &str,
-    parsed: &Json,
+    format: Option<&str>,
+    id: Option<&Id>,
     session: &SessionOptions<'_>,
     errors: &AtomicU64,
 ) -> String {
-    let mut fields = match cmd {
-        "metrics" => match parsed.get("format").and_then(Json::as_str) {
+    let fields = match cmd {
+        "metrics" => match format {
             None | Some("json") => vec![
                 ("ok", Json::Bool(true)),
                 ("metrics", service.metrics().snapshot().to_json()),
@@ -264,18 +289,15 @@ fn control_line(
             ]
         }
     };
-    if let Some(id) = parsed.get("id") {
-        fields.push(("id", id.clone()));
-    }
-    Json::obj(fields).render()
+    render_with_id(&Json::obj(fields), id)
 }
 
-fn error_line(message: String, id: Option<&Json>) -> String {
-    let mut fields = vec![("ok", Json::Bool(false)), ("error", Json::str(message))];
-    if let Some(id) = id {
-        fields.push(("id", id.clone()));
-    }
-    Json::obj(fields).render()
+fn error_line(message: String) -> String {
+    Json::obj(vec![
+        ("ok", Json::Bool(false)),
+        ("error", Json::str(message)),
+    ])
+    .render()
 }
 
 /// One unit of input as seen by the serve loops.
@@ -331,7 +353,7 @@ fn next_frame(
                 break;
             }
             saw_any = true;
-            if let Some(pos) = chunk.iter().position(|&b| b == b'\n') {
+            if let Some(pos) = find_newline(chunk) {
                 if !overflowed && buf.len() + pos <= MAX_LINE_BYTES {
                     buf.extend_from_slice(&chunk[..pos]);
                 } else {
@@ -368,6 +390,18 @@ fn next_frame(
     }
 }
 
+/// The index of the first `\n` in `bytes`, eight bytes at a time.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    let mut at = 0;
+    while let Some(w) = word_at(bytes, at) {
+        if has_byte(w, b'\n') {
+            break;
+        }
+        at += 8;
+    }
+    bytes[at..].iter().position(|&b| b == b'\n').map(|i| at + i)
+}
+
 /// Runs one line-loop session over any transport: requests answered on
 /// the calling thread, in order.
 ///
@@ -399,27 +433,21 @@ pub fn handle_session(
             Frame::Reject(message) => {
                 summary.lines += 1;
                 errors.fetch_add(1, Relaxed);
-                writeln!(output, "{}", error_line(message, None))?;
+                writeln!(output, "{}", error_line(message))?;
                 output.flush()?;
                 continue;
             }
             Frame::Request(line) => line,
         };
         summary.lines += 1;
-        let parsed = Json::parse(&line);
-        let cmd = parsed
-            .as_ref()
-            .ok()
-            .and_then(|v| v.get("cmd").and_then(Json::as_str));
-        let shutdown = cmd == Some("shutdown");
-        if cmd.is_none() {
-            summary.requests += 1;
-        }
-        writeln!(
-            output,
-            "{}",
-            answer(service, &mut ctx, parsed, &errors, session)
-        )?;
+        let (answer, shutdown) = match read(service, &line, session, &errors) {
+            Err(Answered(answer, shutdown)) => (answer, shutdown),
+            Ok(decoded) => {
+                summary.requests += 1;
+                (answer(service, &mut ctx, decoded, &errors, session), false)
+            }
+        };
+        writeln!(output, "{answer}")?;
         output.flush()?;
         if shutdown {
             if let Some(hook) = session.on_shutdown {
@@ -440,7 +468,7 @@ fn serve_parallel(
 ) -> io::Result<ServeSummary> {
     let mut summary = ServeSummary::default();
     let errors = AtomicU64::new(0);
-    let (job_tx, job_rx) = mpsc::channel::<(u64, String)>();
+    let (job_tx, job_rx) = mpsc::channel::<(u64, Decoded)>();
     let job_rx = Mutex::new(job_rx);
     let (out_tx, out_rx) = mpsc::channel::<(u64, String)>();
 
@@ -458,10 +486,9 @@ fn serve_parallel(
                     let mut ctx = EngineContext::new();
                     loop {
                         let job = job_rx.lock().expect("job queue poisoned").recv();
-                        let Ok((seq, line)) = job else { return };
+                        let Ok((seq, decoded)) = job else { return };
                         let session = SessionOptions::default();
-                        let parsed = Json::parse(&line);
-                        let rendered = answer(service, &mut ctx, parsed, errors, &session);
+                        let rendered = answer(service, &mut ctx, decoded, errors, &session);
                         if out_tx.send((seq, rendered)).is_err() {
                             return;
                         }
@@ -480,42 +507,34 @@ fn serve_parallel(
                 Frame::Reject(message) => {
                     summary.lines += 1;
                     errors.fetch_add(1, Relaxed);
-                    let _ = out_tx.send((seq, error_line(message, None)));
+                    let _ = out_tx.send((seq, error_line(message)));
                     seq += 1;
                     continue;
                 }
                 Frame::Request(line) => line,
             };
             summary.lines += 1;
-            let parsed = Json::parse(&line).ok();
-            let cmd = parsed
-                .as_ref()
-                .and_then(|v| v.get("cmd").and_then(Json::as_str).map(str::to_owned));
-            match cmd.as_deref() {
-                Some(cmd) => {
+            let session = SessionOptions::default();
+            match read(service, &line, &session, &errors) {
+                Err(Answered(rendered, shutdown)) => {
                     // Control messages answer on the read thread, but go
                     // through the same sequenced writer so their position
                     // in the output matches their position in the input.
-                    let parsed = parsed.as_ref().expect("cmd implies parsed");
-                    let session = SessionOptions::default();
-                    let rendered = control_line(service, cmd, parsed, &session, &errors);
                     let _ = out_tx.send((seq, rendered));
                     seq += 1;
-                    if cmd == "shutdown" {
+                    if shutdown {
                         break;
                     }
                 }
-                None => {
+                Ok(decoded) => {
                     summary.requests += 1;
                     if workers == 0 {
                         // Could not spawn any worker: degrade to inline.
-                        let session = SessionOptions::default();
-                        let parsed = Json::parse(&line);
-                        let rendered = answer(service, &mut inline_ctx, parsed, &errors, &session);
+                        let rendered = answer(service, &mut inline_ctx, decoded, &errors, &session);
                         let _ = out_tx.send((seq, rendered));
                     } else {
                         job_tx
-                            .send((seq, line))
+                            .send((seq, decoded))
                             .expect("workers outlive the read loop");
                     }
                     seq += 1;

@@ -71,14 +71,42 @@ pub fn build_facets(names: &[String]) -> Result<FacetSet, String> {
 
 /// Parses a concrete value: `5`, `-3`, `2.5`, `#t`, `#f`, `vec:1.0,2.0`.
 ///
+/// A `vec:` literal is read in one scan into a vector sized by its comma
+/// count. Its elements, split on `,`, are values once trimmed of
+/// whitespace, so an element may itself be a `vec:` literal, which ends
+/// at the next comma. A plain decimal integer takes a fast path; every
+/// other spelling goes through the general rules.
+///
 /// # Errors
 ///
 /// Describes the first token that fails to parse.
 pub fn parse_value(s: &str) -> Result<Value, String> {
     if let Some(rest) = s.strip_prefix("vec:") {
-        let elems: Result<Vec<Value>, String> =
-            rest.split(',').map(|e| parse_value(e.trim())).collect();
-        return Ok(Value::vector(elems?));
+        let bytes = rest.as_bytes();
+        let mut elems = Vec::with_capacity(1 + bytes.iter().filter(|&&b| b == b',').count());
+        let mut at = 0;
+        loop {
+            let (value, len) = match plain_int(&bytes[at..]) {
+                Some((n, len)) => (Value::Int(n), len),
+                None => {
+                    let len = bytes[at..]
+                        .iter()
+                        .position(|&b| b == b',')
+                        .unwrap_or(bytes.len() - at);
+                    (parse_value(rest[at..at + len].trim())?, len)
+                }
+            };
+            elems.push(value);
+            at += len;
+            if at == bytes.len() {
+                return Ok(Value::vector(elems));
+            }
+            at += 1;
+        }
+    }
+    match plain_int(s.as_bytes()) {
+        Some((n, len)) if len == s.len() => return Ok(Value::Int(n)),
+        _ => {}
     }
     match s {
         "#t" => return Ok(Value::Bool(true)),
@@ -95,6 +123,33 @@ pub fn parse_value(s: &str) -> Result<Value, String> {
         return Ok(Value::Float(x));
     }
     Err(format!("cannot parse value `{s}`"))
+}
+
+/// A plain decimal integer (`-?[0-9]+` that fits an `i64`) at the start
+/// of `bytes`, ending at a `,` or at the end: its value and length in
+/// bytes. `None` for anything else, which the general rules then read.
+fn plain_int(bytes: &[u8]) -> Option<(i64, usize)> {
+    let negative = bytes.first() == Some(&b'-');
+    let digits = usize::from(negative);
+    let mut n: i64 = 0;
+    let mut len = digits;
+    while let Some(&b) = bytes.get(len) {
+        match b {
+            b'0'..=b'9' => {
+                let d = i64::from(b - b'0');
+                n = n.checked_mul(10)?;
+                n = if negative {
+                    n.checked_sub(d)?
+                } else {
+                    n.checked_add(d)?
+                };
+            }
+            b',' => break,
+            _ => return None,
+        }
+        len += 1;
+    }
+    (len > digits).then_some((n, len))
 }
 
 /// Parses one facet refinement `facet=spec` into `(facet name, value)`.

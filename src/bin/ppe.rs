@@ -71,6 +71,7 @@
 //! ```
 
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 use ppe::analyze::depgraph::{self, DepGraph, EntryImpact};
@@ -87,7 +88,7 @@ use ppe::server::request::diagnostic_json;
 use ppe::server::spec::{build_facets, parse_input, parse_value, ALL_FACETS};
 use ppe::server::{
     run_batch, serve, BatchOptions, Json, NetOptions, NetServer, PersistConfig, PersistMode,
-    PersistTier, ServeOptions, ServiceConfig, SpecializeRequest, SpecializeService,
+    PersistTier, RequestLine, ServeOptions, ServiceConfig, SpecializeRequest, SpecializeService,
 };
 
 /// Stack size for the worker thread. Deeply recursive source programs drive
@@ -886,10 +887,12 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     } else {
         std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?
     };
+    // One copy of `--program`'s text, shared by every line that omits
+    // `program`.
     let default_program = match &opts.program {
-        Some(file) => {
-            Some(std::fs::read_to_string(file).map_err(|e| format!("cannot read `{file}`: {e}"))?)
-        }
+        Some(file) => Some(Arc::new(
+            std::fs::read_to_string(file).map_err(|e| format!("cannot read `{file}`: {e}"))?,
+        )),
         None => None,
     };
     // Requests that fail to parse keep their slot so output stays aligned
@@ -897,15 +900,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     let parsed: Vec<Result<SpecializeRequest, String>> = text
         .lines()
         .filter(|l| !l.trim().is_empty())
-        .map(|line| {
-            let mut v = Json::parse(line)?;
-            if v.get("program").is_none() {
-                if let (Json::Obj(map), Some(src)) = (&mut v, &default_program) {
-                    map.insert("program".to_owned(), Json::str(src.clone()));
-                }
-            }
-            SpecializeRequest::from_json(&v)
-        })
+        .map(|line| RequestLine::parse(line)?.request(default_program.as_ref()))
         .collect();
     let good: Vec<SpecializeRequest> = parsed
         .iter()

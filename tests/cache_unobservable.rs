@@ -13,7 +13,11 @@
 //! that share `f`'s key where only one warns about `g`, `0.0` against
 //! `-0.0`, budgets that trip under `degrade`, all three engines, both
 //! spec engines (not part of the key), `optimize`, and `execute` on both
-//! exec engines.
+//! exec engines. It also spells one request many ways: keys in another
+//! order, a duplicate key (the last value counts), an unknown key, the
+//! program's parentheses as `\u0028` escapes, the program's text laid out
+//! differently, and the facet list in another order. More than 128
+//! distinct sources pass through, so the parse cache overflows.
 
 use std::io::Write as _;
 use std::process::{Command, Stdio};
@@ -26,6 +30,11 @@ const POWER: &str = "(define (power x n) (if (= n 0) 1 (* x (power x (- n 1)))))
 const WITH_G: &str = "(define (f x) (+ x 1)) (define (g y) (g y))";
 const WITHOUT_G: &str = "(define (f x) (+ x 1))";
 const ZERO: &str = "(define (z x k) (if (= k 0.0) (* x k) (+ x k)))";
+/// `POWER` laid out differently: another source text, the same program.
+const POWER_SPACED: &str =
+    "(define (power x n)\n  (if (= n 0)\n      1\n      (* x (power x (- n 1)))))\n";
+/// Distinct one-line sources, more than the parse cache's 128.
+const DISTINCT_SOURCES: usize = 140;
 
 /// The distinct requests the stream draws from, without `id`.
 fn shapes() -> Vec<Vec<(&'static str, Json)>> {
@@ -103,18 +112,78 @@ fn shapes() -> Vec<Vec<(&'static str, Json)>> {
             ],
         ));
     }
+    for facets in [["sign", "parity"], ["parity", "sign"]] {
+        shapes.push(with(
+            base(POWER, "_:sign=pos 3"),
+            vec![("engine", Json::str("offline")), ("facets", strs(&facets))],
+        ));
+    }
+    shapes.push(base(POWER_SPACED, "_ 3"));
     shapes.push(with(
-        base(POWER, "_:sign=pos 3"),
-        vec![
-            ("engine", Json::str("offline")),
-            ("facets", strs(&["sign", "parity"])),
-        ],
+        base(POWER_SPACED, "_ 3"),
+        vec![("execute", strs(&["3"]))],
     ));
     shapes
 }
 
-/// Every shape once, then seeded picks skewed toward the first shapes.
-fn stream(len: usize) -> Vec<String> {
+/// How a line spells its fields.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Spelling {
+    /// Keys in sorted order, as [`Json::render`] writes them.
+    Sorted,
+    /// Keys in reverse order.
+    Reversed,
+    /// A first `program` and `inputs` that the later ones replace.
+    Duplicate,
+    /// With keys the protocol does not know.
+    Unknown,
+    /// The program's parentheses written as `\u0028` and `\u0029`.
+    Escaped,
+}
+
+const SPELLINGS: [Spelling; 5] = [
+    Spelling::Sorted,
+    Spelling::Reversed,
+    Spelling::Duplicate,
+    Spelling::Unknown,
+    Spelling::Escaped,
+];
+
+/// `fields` as one request line, spelled as `spelling` says.
+fn render(fields: &[(&str, Json)], spelling: Spelling) -> String {
+    let mut sorted = fields.to_vec();
+    sorted.sort_by(|a, b| a.0.cmp(b.0));
+    let mut fields: Vec<String> = sorted
+        .iter()
+        .map(|(k, v)| format!("{}:{}", Json::str(*k).render(), v.render()))
+        .collect();
+    match spelling {
+        Spelling::Sorted => {}
+        Spelling::Reversed => fields.reverse(),
+        Spelling::Duplicate => {
+            fields.insert(0, "\"inputs\":[5]".to_owned());
+            fields.insert(0, "\"program\":\"(define\"".to_owned());
+        }
+        Spelling::Unknown => {
+            fields.insert(1, "\"note\":{\"program\":5,\"inputs\":[null]}".to_owned());
+            fields.push("\"trace\":[true,\"x\"]".to_owned());
+        }
+        Spelling::Escaped => {
+            for field in &mut fields {
+                if let Some(program) = field.strip_prefix("\"program\":") {
+                    let escaped = program.replace('(', "\\u0028").replace(')', "\\u0029");
+                    *field = format!("\"program\":{escaped}");
+                }
+            }
+        }
+    }
+    format!("{{{}}}", fields.join(","))
+}
+
+/// Every shape once, then seeded picks skewed toward the first shapes,
+/// each in a seeded spelling; then one request on each of
+/// [`DISTINCT_SOURCES`] programs, and the first shapes again.
+fn stream(len: usize) -> Vec<(Spelling, String)> {
     let shapes = shapes();
     let mut rng = StdRng::seed_from_u64(26);
     let mut picks: Vec<usize> = (0..shapes.len()).collect();
@@ -122,13 +191,29 @@ fn stream(len: usize) -> Vec<String> {
         let a = rng.gen_range(0..shapes.len());
         picks.push(rng.gen_range(0..a + 1));
     }
-    picks
+    let mut lines: Vec<(Vec<(&str, Json)>, Spelling)> = picks
+        .into_iter()
+        .map(|shape| {
+            let spelling = SPELLINGS[rng.gen_range(0..SPELLINGS.len())];
+            (shapes[shape].clone(), spelling)
+        })
+        .collect();
+    for k in 0..DISTINCT_SOURCES {
+        let program = format!("(define (f{k} x) (+ x {k}))");
+        lines.push((
+            vec![("program", Json::str(program)), ("inputs", Json::str("_"))],
+            Spelling::Sorted,
+        ));
+    }
+    for (shape, spelling) in shapes.iter().take(8).zip(SPELLINGS.iter().cycle()) {
+        lines.push((shape.clone(), *spelling));
+    }
+    lines
         .into_iter()
         .enumerate()
-        .map(|(id, shape)| {
-            let mut fields = shapes[shape].clone();
+        .map(|(id, (mut fields, spelling))| {
             fields.push(("id", Json::num(id as u64)));
-            Json::obj(fields).render()
+            (spelling, render(&fields, spelling))
         })
         .collect()
 }
@@ -204,7 +289,7 @@ fn session(service: &SpecializeService, lines: &[String]) -> Vec<String> {
 
 #[test]
 fn cached_answers_match_a_fresh_process_byte_for_byte() {
-    let lines = stream(100);
+    let (spellings, lines): (Vec<Spelling>, Vec<String>) = stream(100).into_iter().unzip();
     let fresh: Vec<String> = lines.iter().map(|l| blank(&fresh_answer(l))).collect();
     // One shard of 4 KiB holds a handful of these entries (and the answer
     // fragments their first hits render), not all of them.
@@ -216,10 +301,14 @@ fn cached_answers_match_a_fresh_process_byte_for_byte() {
     let first = session(&service, &lines);
     let second = session(&service, &lines);
     let mut hits_with = (0, 0, 0);
+    let mut hit_spellings = std::collections::HashSet::new();
     for answers in [&first, &second] {
-        for ((line, answer), expected) in lines.iter().zip(answers.iter()).zip(&fresh) {
+        for (((line, answer), expected), spelling) in
+            lines.iter().zip(answers.iter()).zip(&fresh).zip(&spellings)
+        {
             assert_eq!(&blank(answer), expected, "request {line}");
             if answer.contains("\"cache\":\"hit\"") {
+                hit_spellings.insert(*spelling);
                 hits_with.0 += usize::from(answer.contains("\"diagnostics\""));
                 hits_with.1 += usize::from(answer.contains("\"exec\""));
                 hits_with.2 += usize::from(answer.contains("\"budget\":\"fuel\""));
@@ -229,6 +318,17 @@ fn cached_answers_match_a_fresh_process_byte_for_byte() {
     for answer in &fresh {
         assert!(answer.contains("\"ok\":true"), "{answer}");
     }
+    // Respelled lines reached the keys of lines spelled otherwise, and
+    // were answered from their entries.
+    assert_eq!(hit_spellings.len(), SPELLINGS.len(), "{hit_spellings:?}");
+    let sources: std::collections::HashSet<String> = lines
+        .iter()
+        .filter_map(|l| {
+            let v = Json::parse(l).expect("request JSON");
+            v.get("program").and_then(Json::as_str).map(str::to_owned)
+        })
+        .collect();
+    assert!(sources.len() > 128, "{} sources", sources.len());
     // The stream exercised what it is for: hits that carry diagnostics,
     // execute outcomes and degradations, and keys computed again after
     // their entries were evicted.

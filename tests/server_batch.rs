@@ -111,6 +111,109 @@ fn batch_reports_bad_lines_in_place() {
     );
 }
 
+/// `--program` stands in for every line that omits `program`; a line
+/// that names its own keeps it, and stdout does not depend on `--jobs`.
+#[test]
+fn batch_program_fills_lines_without_one() {
+    let (_, power, _) = CORPUS[0];
+    let dir = std::env::temp_dir().join(format!("ppe-batch-program-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("power.sexp");
+    std::fs::write(&file, power).expect("write program");
+    let batch = format!(
+        "{}
+{}
+{}
+[5]
+{}
+",
+        r#"{"inputs": "_ 3"}"#,
+        r#"{"inputs": ["_", "4"], "engine": "offline"}"#,
+        request_line("(define (inc x) (+ x 1))", "_", &[]),
+        r#"{"program": 5, "inputs": "_"}"#,
+    );
+    let file = file.to_str().expect("UTF-8 path");
+    let (ok1, serial, err1) = ppe_with_stdin(&["batch", "-", "--program", file], &batch);
+    assert!(ok1, "{err1}");
+    let (ok4, parallel, err4) =
+        ppe_with_stdin(&["batch", "-", "--program", file, "--jobs", "4"], &batch);
+    assert!(ok4, "{err4}");
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+    assert_eq!(serial, parallel);
+    let heads: Vec<&str> = serial
+        .lines()
+        .filter(|l| l.starts_with(";; request"))
+        .collect();
+    assert_eq!(
+        heads,
+        [
+            ";; request 0",
+            ";; request 1",
+            ";; request 2",
+            ";; request 3 error: request needs a `program` string",
+            ";; request 4 error: request needs a `program` string",
+        ],
+        "{serial}"
+    );
+    assert_eq!(serial.matches("(define (power").count(), 2, "{serial}");
+    assert!(serial.contains("(define (inc"), "{serial}");
+}
+
+/// An integer `id` comes back with the digits it was sent with, past the
+/// 2⁵³ an `f64` holds exactly, on answers, errors and control messages
+/// alike; every other `id` echoes as before.
+#[test]
+fn serve_echoes_integer_ids_digit_for_digit() {
+    let (_, power, _) = CORPUS[0];
+    let ids = [
+        ("9007199254740993", "9007199254740993"),
+        ("12345678901234567890", "12345678901234567890"),
+        ("-12345678901234567890", "-12345678901234567890"),
+        ("18446744073709551617", "18446744073709551617"),
+        ("7", "7"),
+        ("-0", "0"),
+        ("1.0", "1"),
+        ("1e2", "100"),
+        ("9007199254740993.0", "9007199254740992"),
+        ("\"x\"", "\"x\""),
+        ("{\"b\": 1, \"a\": [null]}", "{\"a\":[null],\"b\":1}"),
+    ];
+    let mut input = String::new();
+    for (sent, _) in ids {
+        input.push_str(&format!(
+            "{{\"id\": {sent}, \"program\": {}, \"inputs\": \"_ 2\"}}\n",
+            Json::str(power).render()
+        ));
+    }
+    input.push_str("{\"id\": 9007199254740993, \"program\": 5}\n");
+    input.push_str("{\"id\": 9007199254740995, \"cmd\": \"health\"}\n");
+    input.push_str("{\"cmd\": \"ready\", \"id\": 9007199254740997}\n");
+    for jobs in ["1", "2"] {
+        let (ok, stdout, stderr) = ppe_with_stdin(&["serve", "--jobs", jobs], &input);
+        assert!(ok, "{stderr}");
+        let lines: Vec<&str> = stdout.lines().collect();
+        assert_eq!(lines.len(), ids.len() + 3, "{stdout}");
+        for ((sent, echoed), line) in ids.iter().zip(&lines) {
+            assert!(
+                line.contains(&format!(",\"id\":{echoed},\"key\":")),
+                "id {sent} must echo as {echoed}: {line}"
+            );
+            assert!(line.contains("\"ok\":true"), "{line}");
+        }
+        let tail = &lines[ids.len()..];
+        assert!(
+            tail[0].contains("\"id\":9007199254740993,\"ok\":false"),
+            "{}",
+            tail[0]
+        );
+        assert_eq!(
+            tail[1],
+            r#"{"health":"ok","id":9007199254740995,"ok":true}"#
+        );
+        assert_eq!(tail[2], r#"{"id":9007199254740997,"ok":true,"ready":true}"#);
+    }
+}
+
 #[test]
 fn serve_answers_three_requests_in_order_and_shuts_down() {
     let (_, power, _) = CORPUS[0];
